@@ -47,6 +47,10 @@ from .tableau import deserialize, render, to_json_dict
 OPERATOR_NAMES = ("equal-length", "unequal-length", "type-d")
 
 
+class UsageError(Exception):
+    """Input that no subcommand accepts; reported like argparse's own errors."""
+
+
 def _read_input(raw: str) -> str:
     return sys.stdin.read() if raw == "-" else raw
 
@@ -66,7 +70,12 @@ def _tableau_arg(raw: str, lie_type: str, side: str):
     """A tableau given directly as JSON, or the chosen tableau of rs(w)."""
     text = _read_input(raw).strip()
     if text.startswith("{"):
-        return deserialize(text)
+        tab = deserialize(text)
+        if tab.lie_type != lie_type:
+            raise UsageError(
+                f"--type {lie_type} conflicts with the tableau's type {tab.lie_type}"
+            )
+        return tab
     pair = rs(parse_perm(text), lie_type)
     return pair.left if side == "left" else pair.right
 
@@ -146,7 +155,12 @@ def _cmd_move(args) -> int:
     text = _read_input(args.input).strip()
     labels = [int(part) for part in args.label.split(",")]
     coloring = coloring_from_name(args.coloring)
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        doc = None
+    if not isinstance(doc, dict):
+        raise UsageError("input must be a tableau or pair JSON object")
     if "left" in doc:
         pair = pair_deserialize(text)
         if len(labels) != 1:
@@ -209,6 +223,16 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dtab", description="domino tableau combinatorics for types B and C"
@@ -216,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_type=True):
+        p.set_defaults(parser=p)
         p.add_argument("--format", choices=("json", "ascii"), default="json")
         if with_type:
             p.add_argument("--type", choices=("B", "C"), required=True)
@@ -271,10 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
     common(p)
     p.add_argument("suite", choices=SUITE_NAMES)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--sample", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility")
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -285,6 +309,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        args.parser.error(str(exc))
     except OperatorUndefinedError as exc:
         print(json.dumps(exc.report.to_json_dict(), sort_keys=True))
         return 1

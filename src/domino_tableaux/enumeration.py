@@ -1,8 +1,9 @@
-"""Exhaustive generators and brute-force cross-checks.
+"""Counting, exhaustive generators and brute-force cross-checks.
 
-Everything here is deliberately implemented from first principles (shape
-chains rather than cell-level standardness, direct group arithmetic) so it
-can serve as an independent oracle for the other modules.
+Tableaux are counted in closed form.  Everything else here is deliberately
+implemented from first principles (shape chains rather than cell-level
+standardness, direct group arithmetic) so it can serve as an independent
+oracle for the other modules.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .partitions import (
     dominates,
     is_orbit_partition,
     partitions_of,
+    transpose,
 )
 from .pipeline import orbital_tableau
 from .signed_perm import (
@@ -91,16 +93,32 @@ def _check_shape(shape, lie_type: str) -> Partition:
     return shape
 
 
-@lru_cache(maxsize=None)
-def _count_chains(shape: Partition, lie_type: str) -> int:
-    if shape == _core_shape(lie_type):
-        return 1
-    return sum(_count_chains(new, lie_type) for new, _ in _removals(shape, lie_type))
-
-
 def count_sdt(shape, lie_type: str) -> int:
-    """Number of standard domino tilings of the given shape."""
-    return _count_chains(_check_shape(shape, lie_type), lie_type)
+    """Number of standard domino tableaux of the given shape, in closed form.
+
+    By Stanton and White (A Schensted algorithm for rim hook tableaux, JCTA
+    1985) the domino tableaux of lam over its 2-core number
+    C(w; |lam0|) * f(lam0) * f(lam1), where w is the number of dominoes,
+    (lam0, lam1) is the 2-quotient of lam and each f is a hook-length count.
+    The hooks of the 2-quotient are the even hooks of lam halved, and there
+    are exactly w of them, so the count is w! over the product of the halved
+    even hooks, and the 2-core has |lam| - 2w cells.  The count is 0 when
+    that is not the core the type starts from: () for C and (1) for B.  The
+    2-cores are staircases, so their sizes tell them apart.
+    """
+    shape = _check_shape(shape, lie_type)
+    columns = transpose(shape)
+    dominoes = 0
+    halved_hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            hook = row - j + columns[j] - i - 1
+            if hook % 2 == 0:
+                dominoes += 1
+                halved_hooks *= hook // 2
+    if sum(shape) - 2 * dominoes != sum(_core_shape(lie_type)):
+        return 0
+    return math.factorial(dominoes) // halved_hooks
 
 
 def all_sdt(shape, lie_type: str) -> list[DominoTableau]:

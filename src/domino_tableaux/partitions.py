@@ -71,6 +71,16 @@ def dominates(lam: Partition, mu: Partition) -> bool:
     return True
 
 
+def n_statistic(lam: Partition) -> int:
+    """n(lam) = sum of (i - 1) * lam_i over the rows, i counted from 1.
+
+    It rises strictly whenever the shape drops strictly in dominance
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.1), from 0 at
+    the one-row shape to m(m - 1)/2 at the one-column shape of size m.
+    """
+    return sum(i * part for i, part in enumerate(lam))
+
+
 def transpose(lam: Partition) -> Partition:
     if not lam:
         return ()

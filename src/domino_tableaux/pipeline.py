@@ -25,7 +25,7 @@ from .partitions import (
     dominates,
     is_orbit_partition,
     is_special,
-    partitions_of,
+    n_statistic,
 )
 from .signed_perm import SignedPerm
 from .tableau import DominoTableau
@@ -98,8 +98,17 @@ def _preferred(moves: list[tuple[Cycle, Partition]]) -> tuple[Cycle, Partition]:
 
 
 def orbital_tableau(tableau: DominoTableau) -> OrbitalResult:
-    """Anneal until the shape is an orbit partition; deterministic trace."""
-    bound = sum(1 for _ in partitions_of(sum(tableau.shape()))) + 1
+    """Anneal until the shape is an orbit partition; deterministic trace.
+
+    Every move strictly lowers the shape in dominance, so it strictly raises
+    ``n_statistic`` of the shape, which is at most m(m - 1)/2 for a shape of
+    size m.  A run from shape lam therefore takes at most
+    m(m - 1)/2 - n(lam) steps; the loop allows one more pass to see the
+    terminal shape, and a run that overshoots raises PipelineStallError.
+    """
+    shape = tableau.shape()
+    size = sum(shape)
+    bound = size * (size - 1) // 2 - n_statistic(shape) + 1
     trace: list[AnnealStep] = []
     current = tableau
     for _ in range(bound):
@@ -114,7 +123,10 @@ def orbital_tableau(tableau: DominoTableau) -> OrbitalResult:
         cycle, new_shape = _preferred(moves)
         current = move_through(current, cycle)
         trace.append(AnnealStep(cycle, cycle.coloring, shape, new_shape))
-    raise PipelineStallError("annealing exceeded the partition-count bound")
+    raise PipelineStallError(
+        f"annealing took more than {bound - 1} steps, the most that a "
+        "strictly rising n(shape) allows"
+    )
 
 
 def orbit_of(w: SignedPerm, lie_type: str) -> Partition:

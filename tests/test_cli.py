@@ -173,6 +173,34 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("text", ["5", "[1, 2]", "null", "not json"])
+def test_move_needs_json_object(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["move", text, "--label", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "JSON object" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["orbital", "special", "cycles"])
+def test_type_conflicting_with_tableau_json(capsys, command):
+    left = serialize(rs((-1, 2), "C").left)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--type", "B", left])
+    assert exc.value.code == 2
+    assert "conflicts" in capsys.readouterr().err
+    code, _, _ = run(capsys, command, "--type", "C", left)
+    assert code == 0
+
+
+@pytest.mark.parametrize("n", ["0", "-3", "x"])
+def test_verify_n_must_be_positive(capsys, n):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--type", "C", "--n", n, "rs-bijection"])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 def test_bad_word_exits_one(capsys):
     code, out, err = run(capsys, "rs", "--type", "C", "2 2")
     assert code == 1 and err.startswith("error:")

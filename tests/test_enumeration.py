@@ -1,10 +1,13 @@
 import math
+from functools import lru_cache
 
 import pytest
 
 from domino_tableaux.enumeration import (
     DEFAULT_SEED,
     SUITE_NAMES,
+    _core_shape,
+    _removals,
     all_sdt,
     count_sdt,
     tau_signature,
@@ -30,6 +33,33 @@ def test_count_frozen_values():
     }
     for shape, count in expected_b.items():
         assert count_sdt(shape, "B") == count, shape
+
+
+@lru_cache(maxsize=None)
+def _count_chains(shape, lie_type):
+    """Oracle: count shape chains down to the type's core, one domino at a time."""
+    if shape == _core_shape(lie_type):
+        return 1
+    return sum(_count_chains(new, lie_type) for new, _ in _removals(shape, lie_type))
+
+
+@pytest.mark.parametrize("t", ["C", "B"])
+def test_count_matches_chain_oracle(t):
+    wrong_core = 0
+    for size in range(1 if t == "B" else 0, 21, 2):
+        for shape in partitions_of(size):
+            expected = _count_chains(shape, t)
+            wrong_core += expected == 0
+            assert count_sdt(shape, t) == expected, shape
+    assert wrong_core > 0  # shapes whose 2-core is not the type's core
+
+
+def test_count_large_staircase():
+    # (14,14,12,12,...,2,2) has 2-quotient ((7,6,...,1), (7,6,...,1)); the
+    # staircase of size 28 has 48608795688960 standard Young tableaux.
+    shape = tuple(part for k in range(7, 0, -1) for part in (2 * k, 2 * k))
+    assert sum(shape) == 112
+    assert count_sdt(shape, "C") == math.comb(56, 28) * 48608795688960**2
 
 
 @pytest.mark.parametrize("t", ["C", "B"])

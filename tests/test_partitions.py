@@ -10,6 +10,7 @@ from domino_tableaux.partitions import (
     format_partition,
     is_orbit_partition,
     is_special,
+    n_statistic,
     orbit_collapse,
     orbit_dual,
     parse_partition,
@@ -46,6 +47,16 @@ def test_partitions_of_are_partitions_and_distinct():
     for lam in seen:
         assert sum(lam) == 8
         assert all(a >= b for a, b in zip(lam, lam[1:]))
+
+
+def test_n_statistic_rises_strictly_down_dominance():
+    assert n_statistic((3, 2, 1)) == 4
+    for m in range(9):
+        shapes = list(partitions_of(m))
+        assert max(map(n_statistic, shapes)) == n_statistic((1,) * m) == m * (m - 1) // 2
+        for lam, mu in itertools.permutations(shapes, 2):
+            if dominates(lam, mu):
+                assert n_statistic(lam) < n_statistic(mu), (lam, mu)
 
 
 def test_dominates_basics():

@@ -1,15 +1,22 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domino_tableaux.cycles import Coloring
 from domino_tableaux.insertion import rs
-from domino_tableaux.partitions import dominates, is_orbit_partition, is_special
+from domino_tableaux.partitions import (
+    dominates,
+    is_orbit_partition,
+    is_special,
+    n_statistic,
+)
 from domino_tableaux.pipeline import (
     candidate_moves,
     orbit_of,
     orbital_tableau,
     special_projection,
 )
-from domino_tableaux.signed_perm import enumerate_group
+from domino_tableaux.signed_perm import enumerate_group, identity
 from domino_tableaux.tableau import make_tableau
 
 
@@ -98,6 +105,32 @@ def test_anneal_terminates_and_descends(t, n):
             assert before != after and dominates(before, after)
         for step, shape in zip(result.trace, shapes):
             assert step.shape_before == shape
+
+
+def signed_perms(max_rank):
+    return (
+        st.integers(1, max_rank)
+        .flatmap(lambda n: st.permutations(list(range(1, n + 1))))
+        .flatmap(lambda p: st.tuples(*[st.sampled_from((v, -v)) for v in p]))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_perms(6), st.sampled_from(["C", "B"]))
+def test_every_step_raises_n_statistic(w, t):
+    # The annealing loop bound rests on this.
+    for step in orbital_tableau(rs(w, t).left).trace:
+        assert n_statistic(step.shape_after) > n_statistic(step.shape_before)
+
+
+@pytest.mark.parametrize("t", ["C", "B"])
+def test_anneal_at_rank_200(t):
+    # The one-row shape of 400 or 401 cells is already an orbit partition;
+    # the loop bound costs arithmetic, not a walk over partitions of 400.
+    left = rs(identity(200), t).left
+    result = orbital_tableau(left)
+    assert result.trace == () and result.tableau == left
+    assert result.orbit == (400 + (t == "B"),)
 
 
 def test_special_projection_rank_two():
