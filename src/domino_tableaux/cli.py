@@ -153,7 +153,7 @@ def _cmd_cycles(args) -> int:
 
 def _cmd_move(args) -> int:
     text = _read_input(args.input).strip()
-    labels = [int(part) for part in args.label.split(",")]
+    labels = args.label
     coloring = coloring_from_name(args.coloring)
     try:
         doc = json.loads(text)
@@ -202,7 +202,10 @@ def _cmd_op(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    shape = parse_partition(_read_input(args.shape))
+    try:
+        shape = parse_partition(_read_input(args.shape))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     value = count_sdt(shape, args.type)
     doc = {"shape": list(shape), "type": args.type, "count": value}
     _emit(args, doc, str(value))
@@ -231,6 +234,15 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
+
+
+def _label_list(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer label or comma-separated labels, got {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("move", help="move through cycles (pair input: extended)")
     common(p, with_type=False)
     p.add_argument("input", help="tableau or pair JSON (or - for stdin)")
-    p.add_argument("--label", required=True, help="label, or comma-separated labels")
+    p.add_argument(
+        "--label", type=_label_list, required=True, help="label, or comma-separated labels"
+    )
     p.add_argument("--coloring", choices=("native", "typeD"), default="native")
     p.set_defaults(func=_cmd_move)
 
@@ -298,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--sample", type=int, default=None)
+    p.add_argument("--sample", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_verify)
 
     return parser

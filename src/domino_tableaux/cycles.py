@@ -2,34 +2,35 @@
 
 A coloring declares every other diagonal of cells "fixed"; each domino covers
 exactly one fixed cell.  A cycle is an inclusion-minimal nonempty set of
-dominoes that can be simultaneously re-tiled — every domino keeping its own
-fixed cell — so that the whole tableau stays standard.  Moving through an
+dominoes that can be simultaneously re-tiled -- every domino keeping its own
+fixed cell -- so that the whole tableau stays standard.  Moving through an
 open cycle trades one boundary cell of the shape (the hole) for another (the
 corner); moving through a closed cycle permutes dominoes inside the same
 shape.  Labels that admit no such re-tiling at all count as closed
 single-label cycles whose move is the identity.
 
-The reference engine enumerates every legal re-tiling of the full tableau
-and extracts minimal changed sets; a second, independently structured
-wavefront engine is provided for cross-checking.
+The cycles are built from Garfinkle's moving-through rule (Compositio Math.
+1990, section 1.5) rather than by search.  Each domino D(k) has exactly one
+other position D'(k) through its fixed cell, decided by the label of one
+diagonal neighbour (``_moved_position``).  The cycles are the connected
+components of the relation "D'(k) meets D(l)"; a component whose
+simultaneous move is not standard is frozen into single-label identity
+cycles.  One table per (tableau, coloring) holds the cycles and every D'(k),
+in time linear in the number of dominoes.  The exhaustive search over all
+standard re-tilings, which takes time exponential in the number of cycles,
+is kept in the tests as the oracle for this construction.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .insertion import TableauPair, make_pair
-from .tableau import (
-    Cell,
-    DominoTableau,
-    TableauError,
-    core_cells,
-    is_young,
-    make_tableau,
-)
+from .tableau import Cell, Domino, DominoTableau, TableauError, make_tableau
 
 
 class Coloring(enum.Enum):
@@ -85,126 +86,149 @@ class Cycle:
     boxed: bool
 
 
-def _candidate_positions(
-    tableau: DominoTableau, coloring: Coloring
-) -> list[list[tuple[Cell, Cell]]]:
-    core = set(core_cells(tableau.lie_type))
-    options = []
-    for d in tableau.dominoes:
-        f = fixed_cell(d.cells, coloring)
-        cand = []
-        for nb in ((f[0] - 1, f[1]), (f[0] + 1, f[1]), (f[0], f[1] - 1), (f[0], f[1] + 1)):
-            if nb[0] < 1 or nb[1] < 1 or nb in core:
+def _label_at(owner: dict[Cell, int], cell: Cell) -> float:
+    """A cell's label for the move rule: -inf off the quadrant, 0 on the
+    type-B core, +inf outside the shape."""
+    if cell[0] < 1 or cell[1] < 1:
+        return -math.inf
+    return owner.get(cell, math.inf)
+
+
+def _moved_position(
+    domino: Domino, owner: dict[Cell, int], coloring: Coloring
+) -> tuple[Cell, Cell]:
+    """D'(k), the one other position of domino k through its fixed cell f.
+
+    With v the variable cell and delta = v - f, the candidates are the shift
+    {f, f - delta} and the rotation {f, f + swap(delta)}.  The cell
+    d = f - delta + swap(delta) between them decides: when delta points
+    right or down the domino rotates iff T(d) < k, when it points left or up
+    iff T(d) > k.
+    """
+    a, b = domino.cells
+    f, v = (a, b) if is_fixed(a, coloring) else (b, a)
+    dr, dc = v[0] - f[0], v[1] - f[1]
+    t = _label_at(owner, (f[0] - dr + dc, f[1] - dc + dr))
+    rotate = t < domino.label if dr + dc > 0 else t > domino.label
+    other = (f[0] + dc, f[1] + dr) if rotate else (f[0] - dr, f[1] - dc)
+    return (f, other) if f < other else (other, f)
+
+
+def _is_standard_move(
+    owner: dict[Cell, int],
+    original: dict[int, tuple[Cell, Cell]],
+    moves: dict[int, tuple[Cell, Cell]],
+) -> bool:
+    """Does relocating the given labels leave a standard tableau?
+
+    A tableau is standard iff each cell's upper and left neighbours exist
+    with labels no larger than its own (the core counting as 0), so only
+    the placed cells and the cells right of or below a changed cell need a
+    look.
+    """
+    vacated = {c for lbl in moves for c in original[lbl]}
+    placed: dict[Cell, int] = {}
+    for lbl, cells in moves.items():
+        for c in cells:
+            if c[0] < 1 or c[1] < 1 or c in placed or (c in owner and c not in vacated):
+                return False
+            placed[c] = lbl
+
+    def at(c: Cell) -> int | None:
+        if c in placed:
+            return placed[c]
+        return None if c in vacated else owner.get(c)
+
+    touched = set(placed)
+    for r, c in vacated | set(placed):
+        touched.update(((r + 1, c), (r, c + 1)))
+    for r, c in touched:
+        lbl = at((r, c))
+        if lbl is None:
+            continue
+        for above in ((r - 1, c), (r, c - 1)):
+            if above[0] < 1 or above[1] < 1:
                 continue
-            cand.append(tuple(sorted((f, nb))))
-        options.append(cand)
-    return options
+            got = at(above)
+            if got is None or got > lbl:
+                return False
+    return True
 
 
-@lru_cache(maxsize=65536)
-def _retilings(
-    tableau: DominoTableau, coloring: Coloring
-) -> tuple[tuple[tuple[int, tuple[Cell, Cell]], ...], ...]:
-    """Every standard re-tiling keeping each domino on its fixed cell."""
-    options = _candidate_positions(tableau, coloring)
-    labels = [d.label for d in tableau.dominoes]
-    core = frozenset(core_cells(tableau.lie_type))
-    results: list[tuple[tuple[int, tuple[Cell, Cell]], ...]] = []
-    chosen: list[tuple[int, tuple[Cell, Cell]]] = []
-
-    def walk(idx: int, used: frozenset[Cell]) -> None:
-        if idx == len(labels):
-            results.append(tuple(chosen))
-            return
-        for cells in options[idx]:
-            if cells[0] in used or cells[1] in used:
-                continue
-            grown = used | {cells[0], cells[1]}
-            if not is_young(grown):
-                continue
-            chosen.append((labels[idx], cells))
-            walk(idx + 1, grown)
-            chosen.pop()
-
-    walk(0, core)
-    return tuple(results)
-
-
-def _changed_labels(
-    tableau: DominoTableau, assignment: Iterable[tuple[int, tuple[Cell, Cell]]]
-) -> frozenset[int]:
-    original = {d.label: d.cells for d in tableau.dominoes}
-    return frozenset(lbl for lbl, cells in assignment if cells != original[lbl])
-
-
-@lru_cache(maxsize=65536)
-def _atoms(tableau: DominoTableau, coloring: Coloring) -> tuple[frozenset[int], ...]:
-    changed = [_changed_labels(tableau, a) for a in _retilings(tableau, coloring)]
-    if frozenset() not in changed:
-        raise RuntimeError("search lost the identity re-tiling")  # pragma: no cover
-    nonempty = {ch for ch in changed if ch}
-    atoms = [ch for ch in nonempty if not any(other < ch for other in nonempty)]
-    for i, a in enumerate(atoms):
-        for b in atoms[i + 1 :]:
-            if a & b:
-                raise RuntimeError(f"overlapping minimal move sets {set(a)} and {set(b)}")
-    return tuple(sorted(atoms, key=min))
-
-
-def _move_assignment(
-    tableau: DominoTableau, coloring: Coloring, labels: frozenset[int]
-) -> dict[int, tuple[Cell, Cell]]:
-    matches = [
-        a for a in _retilings(tableau, coloring) if _changed_labels(tableau, a) == labels
-    ]
-    if len(matches) != 1:
-        raise RuntimeError(
-            f"expected exactly one re-tiling moving {sorted(labels)}, found {len(matches)}"
-        )
-    return dict(matches[0])
-
-
-def _classify(tableau: DominoTableau, coloring: Coloring, labels: frozenset[int]) -> Cycle:
-    boxed = is_boxed(tableau.domino(min(labels)).cells, coloring)
-    atoms = _atoms(tableau, coloring)
-    if labels not in atoms:
-        # a label no re-tiling can move: closed, move is the identity
-        return Cycle(tuple(sorted(labels)), coloring, False, None, None, None, boxed)
-    assignment = _move_assignment(tableau, coloring, labels)
-    old_cells = tableau.cells()
-    new_cells = set(core_cells(tableau.lie_type))
-    for d in tableau.dominoes:
-        new_cells.update(assignment.get(d.label, d.cells))
-    if new_cells == set(old_cells):
-        return Cycle(tuple(sorted(labels)), coloring, False, None, None, None, boxed)
-    holes = set(old_cells) - new_cells
-    corners = new_cells - set(old_cells)
+def _moving_cycle(
+    labels: list[int],
+    coloring: Coloring,
+    original: dict[int, tuple[Cell, Cell]],
+    moves: dict[int, tuple[Cell, Cell]],
+) -> Cycle:
+    old = {c for lbl in labels for c in original[lbl]}
+    new = {c for lbl in labels for c in moves[lbl]}
+    boxed = is_boxed(original[labels[0]], coloring)
+    if new == old:
+        return Cycle(tuple(labels), coloring, False, None, None, None, boxed)
+    holes, corners = old - new, new - old
     if len(holes) != 1 or len(corners) != 1:
         raise RuntimeError(f"open move must trade single cells, got {holes} / {corners}")
     hole, corner = holes.pop(), corners.pop()
-    return Cycle(
-        tuple(sorted(labels)), coloring, True, hole, corner, corner[0] > hole[0], boxed
-    )
+    return Cycle(tuple(labels), coloring, True, hole, corner, corner[0] > hole[0], boxed)
+
+
+@dataclass(frozen=True)
+class _CycleTable:
+    cycles: tuple[Cycle, ...]  # sorted by labels
+    by_label: dict[int, Cycle]
+    moves: dict[int, tuple[Cell, Cell]]  # D'(k) for every label that moves
+
+
+@lru_cache(maxsize=4096)
+def _cycle_table(tableau: DominoTableau, coloring: Coloring) -> _CycleTable:
+    """Cycles as the connected components of "D'(k) meets D(l)"; a
+    component whose simultaneous move is not standard is frozen into
+    closed single-label cycles whose move is the identity."""
+    owner = tableau.cell_owner()
+    original = {d.label: d.cells for d in tableau.dominoes}
+    moved = {d.label: _moved_position(d, owner, coloring) for d in tableau.dominoes}
+    parent = {lbl: lbl for lbl in original}
+
+    def find(lbl: int) -> int:
+        while parent[lbl] != lbl:
+            parent[lbl] = parent[parent[lbl]]
+            lbl = parent[lbl]
+        return lbl
+
+    for lbl, cells in moved.items():
+        for c in cells:
+            if owner.get(c):  # another domino (0 is the core)
+                parent[find(owner[c])] = find(lbl)
+    components: dict[int, list[int]] = {}
+    for lbl in original:
+        components.setdefault(find(lbl), []).append(lbl)
+    cycles: list[Cycle] = []
+    moves: dict[int, tuple[Cell, Cell]] = {}
+    for labels in components.values():
+        step = {lbl: moved[lbl] for lbl in labels}
+        if _is_standard_move(owner, original, step):
+            moves.update(step)
+            cycles.append(_moving_cycle(labels, coloring, original, step))
+        else:
+            cycles.extend(
+                Cycle((lbl,), coloring, False, None, None, None, is_boxed(original[lbl], coloring))
+                for lbl in labels
+            )
+    cycles.sort(key=lambda cy: cy.labels)
+    by_label = {lbl: cy for cy in cycles for lbl in cy.labels}
+    return _CycleTable(tuple(cycles), by_label, moves)
 
 
 def cycle_of(tableau: DominoTableau, label: int, coloring: Coloring) -> Cycle:
     if not tableau.has_label(label):
         raise KeyError(f"no domino labeled {label}")
-    for atom in _atoms(tableau, coloring):
-        if label in atom:
-            return _classify(tableau, coloring, atom)
-    return _classify(tableau, coloring, frozenset([label]))
+    return _cycle_table(tableau, coloring).by_label[label]
 
 
 def all_cycles(tableau: DominoTableau, coloring: Coloring) -> tuple[Cycle, ...]:
     """Each cycle once; they partition the labels."""
-    atoms = _atoms(tableau, coloring)
-    out = [_classify(tableau, coloring, atom) for atom in atoms]
-    in_atoms = set().union(*atoms) if atoms else set()
-    for d in tableau.dominoes:
-        if d.label not in in_atoms:
-            out.append(_classify(tableau, coloring, frozenset([d.label])))
-    return tuple(sorted(out, key=lambda cy: cy.labels))
+    return _cycle_table(tableau, coloring).cycles
 
 
 def move_through(tableau: DominoTableau, cycle: Cycle) -> DominoTableau:
@@ -225,20 +249,21 @@ def move_through_set(tableau: DominoTableau, cycles: Iterable[Cycle]) -> DominoT
     if len(colorings) != 1:
         raise TableauError("cannot mix colorings in one simultaneous move")
     coloring = colorings.pop()
-    atoms = set(_atoms(tableau, coloring))
+    table = _cycle_table(tableau, coloring)
     moving: set[int] = set()
     for cy in cycles:
-        labels = frozenset(cy.labels)
-        if labels in atoms:
-            moving.update(labels)
-        elif len(labels) == 1 and not any(labels & a for a in atoms):
-            continue  # frozen label, identity move
-        else:
-            raise TableauError(f"{sorted(labels)} is not a cycle of this tableau")
+        current = table.by_label.get(cy.labels[0])
+        if current is None or current.labels != cy.labels:
+            raise TableauError(f"{sorted(cy.labels)} is not a cycle of this tableau")
+        if cy.labels[0] in table.moves:
+            moving.update(cy.labels)
+        # otherwise a frozen label: its move is the identity
     if not moving:
         return tableau
-    assignment = _move_assignment(tableau, coloring, frozenset(moving))
-    dominoes = [(d.label, assignment.get(d.label, d.cells)) for d in tableau.dominoes]
+    dominoes = [
+        (d.label, table.moves[d.label] if d.label in moving else d.cells)
+        for d in tableau.dominoes
+    ]
     return make_tableau(tableau.lie_type, dominoes, require_contiguous=False)
 
 
@@ -311,98 +336,3 @@ def move_through_extended(pair: TableauPair, label: int, coloring: Coloring) -> 
             f"extended move left shapes unequal: {left.shape()} vs {right.shape()}"
         )
     return make_pair(left, right)
-
-
-# --- independent wavefront engine, used as a cross-check in the test suite ---
-
-
-def _wave_solutions(
-    tableau: DominoTableau, coloring: Coloring, wave: frozenset[int], target: int
-) -> list[tuple[frozenset[int], dict[int, tuple[Cell, Cell]]]]:
-    """Re-tilings that move the target and touch only wave labels.
-
-    Labels outside the wave are pinned at their original cells; each result
-    is (changed labels, full assignment) and is globally standard.
-    """
-    options = _candidate_positions(tableau, coloring)
-    order = [d.label for d in tableau.dominoes]
-    original = {d.label: d.cells for d in tableau.dominoes}
-    todo = [lbl for lbl in order if lbl in wave]
-    pinned: set[Cell] = set()
-    for d in tableau.dominoes:
-        if d.label not in wave:
-            pinned.update(d.cells)
-    found: list[tuple[frozenset[int], dict[int, tuple[Cell, Cell]]]] = []
-    picks: dict[int, tuple[Cell, Cell]] = {}
-
-    def standard_with_picks() -> bool:
-        grown = set(core_cells(tableau.lie_type))
-        for lbl in order:
-            grown.update(picks.get(lbl, original[lbl]))
-            if not is_young(grown):
-                return False
-        return True
-
-    def walk(idx: int, used: set[Cell]) -> None:
-        if idx == len(todo):
-            if picks[target] != original[target] and standard_with_picks():
-                assignment = {lbl: picks.get(lbl, original[lbl]) for lbl in order}
-                changed = frozenset(l for l in wave if picks[l] != original[l])
-                found.append((changed, assignment))
-            return
-        lbl = todo[idx]
-        for cells in options[order.index(lbl)]:
-            if any(c in used or c in pinned for c in cells):
-                continue
-            picks[lbl] = cells
-            walk(idx + 1, used | set(cells))
-            del picks[lbl]
-
-    walk(0, set())
-    return found
-
-
-def local_move_through(
-    tableau: DominoTableau, label: int, coloring: Coloring
-) -> DominoTableau:
-    """Wavefront re-implementation of the cycle move for one label.
-
-    Starts from the label alone and widens the set of dominoes allowed to
-    move until a standard re-tiling moving the label exists; the smallest
-    changed set is applied.  Returns the tableau unchanged when the label
-    turns out to be frozen.
-    """
-    all_labels = frozenset(tableau.labels())
-    options = _candidate_positions(tableau, coloring)
-    order = [d.label for d in tableau.dominoes]
-    wave = frozenset([label])
-    while True:
-        sols = _wave_solutions(tableau, coloring, wave, label)
-        minimal = [
-            (ch, asg) for ch, asg in sols if not any(other < ch for other, _ in sols)
-        ]
-        if minimal:
-            if len(minimal) != 1:
-                raise RuntimeError("wavefront found competing minimal moves")
-            _, assignment = minimal[0]
-            dominoes = [(lbl, assignment[lbl]) for lbl in order]
-            return make_tableau(tableau.lie_type, dominoes, require_contiguous=False)
-        if wave == all_labels:
-            return tableau  # frozen
-        territory: set[Cell] = set()
-        for d in tableau.dominoes:
-            if d.label in wave:
-                territory.update(d.cells)
-                for cells in options[order.index(d.label)]:
-                    territory.update(cells)
-        near = {
-            d.label
-            for d in tableau.dominoes
-            if any(
-                abs(cr - tr) <= 1 and abs(cc - tc) <= 1
-                for cr, cc in d.cells
-                for tr, tc in territory
-            )
-        }
-        grown = wave | near
-        wave = all_labels if grown == wave else frozenset(grown)

@@ -46,7 +46,11 @@ def parse_partition(text: str) -> Partition:
     body = s[1:-1].strip()
     if not body:
         return ()
-    return as_partition(int(tok) for tok in body.split(","))
+    try:
+        parts = [int(tok) for tok in body.split(",")]
+    except ValueError:
+        raise ValueError(f"partition must look like [3,1]; got {text!r}") from None
+    return as_partition(parts)
 
 
 def format_partition(lam: Partition) -> str:

@@ -6,8 +6,10 @@ through admissible open cycles — either coloring, hole and corner in rows of
 odd length for type C or even length for type B, shape strictly lowered in
 dominance order — until the shape is an orbit partition.  The resulting
 partition labels the nilpotent orbit attached to the element; the tableau
-parametrizes its orbital variety.  Move order does not affect the result
-(tested, not assumed); a deterministic preference keeps traces reproducible.
+parametrizes its orbital variety.  A deterministic preference picks among
+the admissible moves, which keeps traces reproducible.  That the move order
+does not affect the result is verified through rank 4 only; at rank 5 some
+tableaux reach two different terminal tableaux.
 
 The special-shape projection instead walks open native-coloring cycles in
 either direction from the recording tableau until the shape is special, and
@@ -17,7 +19,6 @@ checks that exactly one special tableau is reachable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cycles import Coloring, Cycle, all_cycles, move_through
 from .partitions import (
@@ -135,17 +136,28 @@ def orbit_of(w: SignedPerm, lie_type: str) -> Partition:
     return orbital_tableau(rs(w, lie_type).left).orbit
 
 
-@lru_cache(maxsize=65536)
-def _special_reachable(tableau: DominoTableau) -> frozenset[DominoTableau]:
+def _special_reachable(tableau: DominoTableau) -> set[DominoTableau]:
     """Special-shape tableaux reachable through open native cycles (both
-    directions), not walking past the first special shape found."""
-    if is_special(tableau.shape(), tableau.lie_type):
-        return frozenset([tableau])
-    out: set[DominoTableau] = set()
-    for cy in all_cycles(tableau, Coloring.NATIVE):
-        if cy.open:
-            out |= _special_reachable(move_through(tableau, cy))
-    return frozenset(out)
+    directions), not walking past the first special shape found.
+
+    An open move is an involution, so without the visited set the walk
+    would go back and forth through the same cycle.
+    """
+    found: set[DominoTableau] = set()
+    seen = {tableau}
+    todo = [tableau]
+    while todo:
+        current = todo.pop()
+        if is_special(current.shape(), current.lie_type):
+            found.add(current)
+            continue
+        for cy in all_cycles(current, Coloring.NATIVE):
+            if cy.open:
+                moved = move_through(current, cy)
+                if moved not in seen:
+                    seen.add(moved)
+                    todo.append(moved)
+    return found
 
 
 def special_projection(tableau: DominoTableau) -> DominoTableau:

@@ -202,13 +202,20 @@ def test_criterion_09_operator_cell_compat():
 
 def test_criterion_10_special_projection():
     ok = True
+    checked = 0
     for t in TYPES:
-        for n in range(1, 4):
-            for w in enumerate_group(n):
-                right = rs(w, t).right
-                projected = special_projection(right)  # raises if not unique
-                ok = ok and is_special(projected.shape(), t)
-                if is_special(right.shape(), t):
-                    ok = ok and projected is right
-                ok = ok and special_projection(projected) is projected
-    _gate(10, "special-projection", ok, "n <= 3, unique and idempotent")
+        for n in range(1, 7):
+            for shape in partitions_of(_cells(t, n)):
+                for tab in all_sdt(shape, t):
+                    checked += 1
+                    projected = special_projection(tab)  # raises if not unique
+                    ok = ok and is_special(projected.shape(), t)
+                    if is_special(tab.shape(), t):
+                        ok = ok and projected is tab
+                    ok = ok and special_projection(projected) is projected
+    _gate(
+        10,
+        "special-projection",
+        ok,
+        f"every tableau of rank <= 6, {checked} tableaux, unique and idempotent",
+    )

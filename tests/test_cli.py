@@ -217,3 +217,30 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "rs", "--type", "B", "3 -1 2")
     _, second, _ = run(capsys, "rs", "--type", "B", "3 -1 2")
     assert first == second
+
+
+@pytest.mark.parametrize("sample", ["0", "-2", "x"])
+def test_verify_sample_must_be_positive(capsys, sample):
+    # --sample 0 used to pass having checked nothing; -2 failed inside random
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--type", "C", "--n", "3", "--sample", sample, "pipeline-confluence"])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["x", "1,x", ""])
+def test_move_label_must_be_integers(capsys, label):
+    text = serialize(rs((2, -1), "C").left)
+    with pytest.raises(SystemExit) as exc:
+        main(["move", text, "--label", label])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--label" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("shape", ["[2,x]", "2,2", "[1,3]"])
+def test_count_malformed_shape_is_usage_error(capsys, shape):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--type", "C", shape])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err

@@ -1,11 +1,11 @@
 import itertools
+import time
+from functools import lru_cache
 
 import pytest
 
 from domino_tableaux.cycles import (
     Coloring,
-    _atoms,
-    _retilings,
     all_cycles,
     coloring_from_name,
     cycle_of,
@@ -13,14 +13,15 @@ from domino_tableaux.cycles import (
     fixed_cell,
     is_boxed,
     is_fixed,
-    local_move_through,
     move_through,
     move_through_extended,
     move_through_set,
 )
+from domino_tableaux.enumeration import all_sdt
 from domino_tableaux.insertion import rs
+from domino_tableaux.partitions import partitions_of
 from domino_tableaux.signed_perm import enumerate_group
-from domino_tableaux.tableau import make_tableau
+from domino_tableaux.tableau import core_cells, is_young, make_tableau
 
 NATIVE = Coloring.NATIVE
 TYPE_D = Coloring.TYPE_D
@@ -28,6 +29,67 @@ TYPE_D = Coloring.TYPE_D
 
 def C(*dominoes):
     return make_tableau("C", list(dominoes))
+
+
+# --- oracle: every standard re-tiling, by exhaustive search ---
+
+
+@lru_cache(maxsize=None)
+def _retilings(tableau, coloring):
+    """Every standard re-tiling keeping each domino on its fixed cell; there
+    are 2^(number of moving cycles) of them."""
+    core = frozenset(core_cells(tableau.lie_type))
+    options = []
+    for d in tableau.dominoes:
+        f = fixed_cell(d.cells, coloring)
+        cand = []
+        for nb in ((f[0] - 1, f[1]), (f[0] + 1, f[1]), (f[0], f[1] - 1), (f[0], f[1] + 1)):
+            if nb[0] >= 1 and nb[1] >= 1 and nb not in core:
+                cand.append(tuple(sorted((f, nb))))
+        options.append(cand)
+    labels = [d.label for d in tableau.dominoes]
+    results = []
+    chosen = []
+
+    def walk(idx, used):
+        if idx == len(labels):
+            results.append(tuple(chosen))
+            return
+        for cells in options[idx]:
+            if cells[0] in used or cells[1] in used:
+                continue
+            grown = used | {cells[0], cells[1]}
+            if not is_young(grown):
+                continue
+            chosen.append((labels[idx], cells))
+            walk(idx + 1, grown)
+            chosen.pop()
+
+    walk(0, core)
+    return tuple(results)
+
+
+def _changed_labels(tableau, assignment):
+    original = {d.label: d.cells for d in tableau.dominoes}
+    return frozenset(lbl for lbl, cells in assignment if cells != original[lbl])
+
+
+def _atoms(tableau, coloring):
+    """The inclusion-minimal nonempty changed sets: the moving cycles."""
+    changed = {_changed_labels(tableau, a) for a in _retilings(tableau, coloring)}
+    assert frozenset() in changed
+    nonempty = changed - {frozenset()}
+    return {ch for ch in nonempty if not any(other < ch for other in nonempty)}
+
+
+def _sdt_of_rank(n, lie_type):
+    size = 2 * n + (1 if lie_type == "B" else 0)
+    return [tab for shape in partitions_of(size) for tab in all_sdt(shape, lie_type)]
+
+
+def box_tableau(k):
+    """k side-by-side 2x2 boxes, each filled by two vertical dominoes."""
+    return C(*[(i, ((1, i), (2, i))) for i in range(1, 2 * k + 1)])
 
 
 SINGLE_H = C((1, ((1, 1), (1, 2))))
@@ -208,13 +270,33 @@ def test_move_through_set_empty_and_overlap():
 
 
 @pytest.mark.parametrize("t", ["C", "B"])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_local_move_agrees_with_search(t, n):
-    for tab in _all_left_tableaux(n, t):
+    # The local move rule against the exhaustive search, on every standard
+    # tableau of rank n: the moving cycles are the search's minimal changed
+    # sets, and moving through each subset of them gives exactly the
+    # search's standard re-tilings.
+    for tab in _sdt_of_rank(n, t):
         for col in Coloring:
-            for k in tab.labels():
-                expected = move_through(tab, cycle_of(tab, k, col))
-                assert local_move_through(tab, k, col) == expected
+            moving = [cy for cy in all_cycles(tab, col) if move_through(tab, cy) != tab]
+            assert {frozenset(cy.labels) for cy in moving} == _atoms(tab, col)
+            produced = set()
+            for size in range(len(moving) + 1):
+                for subset in itertools.combinations(moving, size):
+                    moved = move_through_set(tab, subset)
+                    produced.add(frozenset((d.label, d.cells) for d in moved.dominoes))
+            assert produced == {frozenset(a) for a in _retilings(tab, col)}
+
+
+@pytest.mark.parametrize("col", list(Coloring))
+def test_all_cycles_polynomial_on_box_family(col):
+    # 128 dominoes; the exhaustive search would face 2^64 re-tilings here.
+    tab = box_tableau(64)
+    start = time.perf_counter()
+    cycles = all_cycles(tab, col)
+    elapsed = time.perf_counter() - start
+    assert sorted(k for cy in cycles for k in cy.labels) == list(tab.labels())
+    assert elapsed < 2.0
 
 
 def test_extended_cycle_closed_seed_leaves_left_alone():

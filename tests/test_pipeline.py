@@ -139,6 +139,23 @@ def test_special_projection_rank_two():
     assert projected.shape() == (2, 2)
 
 
+def test_special_projection_walks_open_cycles_back_and_forth():
+    # Moving through an open cycle and back returns to the start, so the
+    # walk from this recording tableau used to recurse without end.
+    right = rs((1, 2, -6, -3, -5, -4), "C").right
+    assert not is_special(right.shape(), "C")
+    projected = special_projection(right)
+    assert cells(projected) == [
+        (1, ((1, 1), (1, 2))),
+        (2, ((1, 3), (1, 4))),
+        (3, ((2, 1), (3, 1))),
+        (4, ((2, 2), (3, 2))),
+        (5, ((4, 1), (4, 2))),
+        (6, ((2, 3), (2, 4))),
+    ]
+    assert is_special(projected.shape(), "C")
+
+
 @pytest.mark.parametrize("t", ["C", "B"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_special_projection_properties(t, n):
