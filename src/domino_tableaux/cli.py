@@ -164,7 +164,7 @@ def _cmd_move(args) -> int:
     if "left" in doc:
         pair = pair_deserialize(text)
         if len(labels) != 1:
-            raise ValueError("extended moves take a single label")
+            raise UsageError("extended moves take a single label")
         out = move_through_extended(pair, labels[0], coloring)
         _emit(args, pair_to_json_dict(out), _pair_ascii(out))
         return 0
@@ -179,7 +179,7 @@ def _cmd_op(args) -> int:
     pair = pair_deserialize(_read_input(args.pair))
     if args.name == "equal-length":
         if args.i is None or args.j is None:
-            raise ValueError("equal-length needs --i and --j")
+            raise UsageError("equal-length needs --i and --j")
         w = rs_inverse(pair)
         report = equal_length_domain(w, args.i, args.j)
         if not report.defined:
@@ -329,7 +329,9 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(exc.report.to_json_dict(), sort_keys=True))
         return 1
     except (ValueError, KeyError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument; print the message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

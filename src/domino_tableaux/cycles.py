@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .insertion import TableauPair, make_pair
-from .tableau import Cell, Domino, DominoTableau, TableauError, make_tableau
+from .tableau import Cell, Domino, DominoTableau, TableauError, misplaced_cell, replace_cells
 
 
 class Coloring(enum.Enum):
@@ -121,10 +121,10 @@ def _is_standard_move(
 ) -> bool:
     """Does relocating the given labels leave a standard tableau?
 
-    A tableau is standard iff each cell's upper and left neighbours exist
-    with labels no larger than its own (the core counting as 0), so only
-    the placed cells and the cells right of or below a changed cell need a
-    look.
+    The placed cells must lie in the quadrant on cells that are free or
+    vacated.  Standardness is the local rule of ``tableau.misplaced_cell``,
+    so only the placed cells and the cells right of or below a changed cell
+    need a look.
     """
     vacated = {c for lbl in moves for c in original[lbl]}
     placed: dict[Cell, int] = {}
@@ -142,17 +142,7 @@ def _is_standard_move(
     touched = set(placed)
     for r, c in vacated | set(placed):
         touched.update(((r + 1, c), (r, c + 1)))
-    for r, c in touched:
-        lbl = at((r, c))
-        if lbl is None:
-            continue
-        for above in ((r - 1, c), (r, c - 1)):
-            if above[0] < 1 or above[1] < 1:
-                continue
-            got = at(above)
-            if got is None or got > lbl:
-                return False
-    return True
+    return misplaced_cell(at, touched) is None
 
 
 def _moving_cycle(
@@ -260,11 +250,8 @@ def move_through_set(tableau: DominoTableau, cycles: Iterable[Cycle]) -> DominoT
         # otherwise a frozen label: its move is the identity
     if not moving:
         return tableau
-    dominoes = [
-        (d.label, table.moves[d.label] if d.label in moving else d.cells)
-        for d in tableau.dominoes
-    ]
-    return make_tableau(tableau.lie_type, dominoes, require_contiguous=False)
+    moves = {lbl: table.moves[lbl] for lbl in moving}
+    return replace_cells(tableau, moves, require_contiguous=False)
 
 
 def _boundary(cycles: Iterable[Cycle]) -> tuple[set[Cell], set[Cell]]:

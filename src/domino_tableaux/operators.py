@@ -27,7 +27,7 @@ from .signed_perm import (
     inverse,
     right_descents,
 )
-from .tableau import DominoTableau, make_domino, make_tableau, validate
+from .tableau import DominoTableau, TableauError, replace_cells
 
 
 @dataclass(frozen=True)
@@ -117,15 +117,10 @@ def _swap_in_box(tableau: DominoTableau, a: int, b: int) -> DominoTableau:
         ]
     good = []
     for layout in layouts:
-        candidate = DominoTableau(
-            tableau.lie_type,
-            tuple(
-                make_domino(d.label, layout.get(d.label, d.cells))
-                for d in tableau.dominoes
-            ),
-        )
-        if validate(candidate, require_contiguous=False)[0]:
-            good.append(candidate)
+        try:
+            good.append(replace_cells(tableau, layout, require_contiguous=False))
+        except TableauError:
+            pass  # this layout is not standard
     if len(good) != 1:
         raise RuntimeError(
             f"box transposition of {a},{b} admits {len(good)} standard layouts"
@@ -135,12 +130,7 @@ def _swap_in_box(tableau: DominoTableau, a: int, b: int) -> DominoTableau:
 
 def _swap_positions(tableau: DominoTableau, a: int, b: int) -> DominoTableau:
     """Interchange the cell sets of two dominoes outright."""
-    da, db = tableau.domino(a), tableau.domino(b)
-    dominoes = [
-        (d.label, db.cells if d.label == a else da.cells if d.label == b else d.cells)
-        for d in tableau.dominoes
-    ]
-    return make_tableau(tableau.lie_type, dominoes)
+    return replace_cells(tableau, {a: tableau.domino(b).cells, b: tableau.domino(a).cells})
 
 
 def unequal_length_domain(pair: TableauPair) -> OperatorDomainReport:

@@ -51,10 +51,6 @@ class OrbitalResult:
     trace: tuple[AnnealStep, ...]
 
 
-def _row_length(shape: Partition, row: int) -> int:
-    return shape[row - 1] if 1 <= row <= len(shape) else 0
-
-
 def _wanted_parity(lie_type: str) -> int:
     # holes and corners must sit in odd-length rows for C, even-length for B
     return 1 if lie_type == "C" else 0
@@ -64,15 +60,16 @@ def candidate_moves(tableau: DominoTableau) -> list[tuple[Cycle, Partition]]:
     """Admissible lowering moves: open cycle, row-parity test on hole and
     corner against the pre-move shape, and strictly smaller shape."""
     shape = tableau.shape()
+    rows = shape + (0,)  # a corner lies at most one row below the shape
     parity = _wanted_parity(tableau.lie_type)
     out = []
     for coloring in (Coloring.NATIVE, Coloring.TYPE_D):
         for cy in all_cycles(tableau, coloring):
             if not cy.open or not cy.down:
                 continue
-            if _row_length(shape, cy.hole[0]) % 2 != parity:
+            if rows[cy.hole[0] - 1] % 2 != parity:
                 continue
-            if _row_length(shape, cy.corner[0]) % 2 != parity:
+            if rows[cy.corner[0] - 1] % 2 != parity:
                 continue
             moved = move_through(tableau, cy)
             new_shape = moved.shape()

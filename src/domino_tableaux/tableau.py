@@ -2,8 +2,16 @@
 
 Cells are (row, column) pairs, 1-based, row 1 at the top.  A type-B tableau
 owns an extra unlabeled core cell at (1,1) that takes part in every shape
-computation; type C has no core.  Standardness means: for every label k, the
-core together with all dominoes labeled <= k fills a Young diagram.
+computation; type C has no core.
+
+Standardness is the local rule of ``misplaced_cell``: every labelled cell's
+upper and left neighbours inside the quadrant exist with labels no larger
+than its own, the core counting as 0.  It is the prefix definition (for
+every label k, the core and the dominoes labeled <= k fill a Young diagram)
+read cell by cell, since a cell of label k lies in the k-prefix, and the
+first prefix to fail is that of the smallest misplaced label.  So
+``validate`` is one linear pass, and a relocation needs only the cells it
+touches checked.
 
 Tableaux are immutable values; "mutating" helpers return new objects.
 Labels are normally 1..m, but helpers that rebuild tableaux mid-algorithm
@@ -15,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .partitions import Partition, check_group_type
 
@@ -59,7 +67,8 @@ def make_domino(label: int, cells: Iterable[Cell]) -> Domino:
 
 
 def is_young(cells: frozenset[Cell] | set[Cell]) -> bool:
-    """Is the cell set the diagram of a partition?"""
+    """Is the cell set the diagram of a partition?  The reference form of
+    the prefix definition; the tests check ``misplaced_cell`` against it."""
     for r, c in cells:
         if r > 1 and (r - 1, c) not in cells:
             return False
@@ -121,36 +130,54 @@ class DominoTableau:
         return shape_of_cells(self.prefix_cells(label_bound))
 
 
-def validate(tableau: DominoTableau, require_contiguous: bool = True) -> tuple[bool, str]:
-    """Check all invariants; returns (ok, diagnostic)."""
+def misplaced_cell(label_at: Callable[[Cell], int | None], cells: Iterable[Cell]) -> Cell | None:
+    """The first of ``cells`` that carries a label while its upper or left
+    neighbour inside the quadrant is missing (``label_at`` gives None) or
+    has a larger label; None when there is no such cell."""
+    for r, c in cells:
+        lbl = label_at((r, c))
+        if lbl is None:
+            continue
+        for nb in ((r - 1, c), (r, c - 1)):
+            if nb[0] >= 1 and nb[1] >= 1:
+                got = label_at(nb)
+                if got is None or got > lbl:
+                    return (r, c)
+    return None
+
+
+def _check_layout(tableau: DominoTableau, require_contiguous: bool) -> None:
+    """Everything ``validate`` checks except the shape of each domino."""
     try:
-        check_group_type(tableau.lie_type)
+        owner: dict[Cell, int] = {c: 0 for c in core_cells(tableau.lie_type)}
     except ValueError as exc:
-        return False, str(exc)
-    seen: dict[Cell, int] = {c: 0 for c in core_cells(tableau.lie_type)}
-    labels = []
+        raise TableauError(str(exc)) from None
+    labels = [d.label for d in tableau.dominoes]
     for d in tableau.dominoes:
-        try:
-            make_domino(d.label, d.cells)
-        except TableauError as exc:
-            return False, str(exc)
-        labels.append(d.label)
         for c in d.cells:
-            if c in seen:
-                who = "the core" if seen[c] == 0 else f"domino {seen[c]}"
-                return False, f"cell {c} of domino {d.label} overlaps {who}"
-            seen[c] = d.label
+            if c in owner:
+                who = "the core" if owner[c] == 0 else f"domino {owner[c]}"
+                raise TableauError(f"cell {c} of domino {d.label} overlaps {who}")
+            owner[c] = d.label
     if labels != sorted(labels) or len(set(labels)) != len(labels):
-        return False, f"labels not strictly increasing: {labels}"
+        raise TableauError(f"labels not strictly increasing: {labels}")
     if require_contiguous and labels != list(range(1, len(labels) + 1)):
-        return False, f"labels must be 1..{len(labels)}, got {labels}"
-    grown = set(core_cells(tableau.lie_type))
-    if not is_young(grown) and grown:
-        return False, "core is misplaced"  # pragma: no cover
-    for d in tableau.dominoes:
-        grown.update(d.cells)
-        if not is_young(grown):
-            return False, f"cells up to label {d.label} do not form a Young diagram"
+        raise TableauError(f"labels must be 1..{len(labels)}, got {labels}")
+    # owner lists the cells in ascending label order, so the first misplaced
+    # cell names the first prefix that is not a Young diagram
+    bad = misplaced_cell(owner.get, owner)
+    if bad is not None:
+        raise TableauError(f"cells up to label {owner[bad]} do not form a Young diagram")
+
+
+def validate(tableau: DominoTableau, require_contiguous: bool = True) -> tuple[bool, str]:
+    """Check all invariants in one linear pass; returns (ok, diagnostic)."""
+    try:
+        for d in tableau.dominoes:
+            make_domino(d.label, d.cells)
+        _check_layout(tableau, require_contiguous)
+    except TableauError as exc:
+        return False, str(exc)
     return True, "ok"
 
 
@@ -161,16 +188,13 @@ def make_tableau(
 ) -> DominoTableau:
     ds = []
     for d in dominoes:
-        if isinstance(d, Domino):
-            ds.append(make_domino(d.label, d.cells))
-        else:
-            label, cells = d
-            ds.append(make_domino(label, cells))
+        label, cells = (d.label, d.cells) if isinstance(d, Domino) else d
+        checked = make_domino(label, cells)
+        # keeping a valid Domino lets rebuilt tableaux share unchanged ones
+        ds.append(d if checked == d else checked)
     ds.sort(key=lambda d: d.label)
     t = DominoTableau(lie_type, tuple(ds))
-    ok, why = validate(t, require_contiguous=require_contiguous)
-    if not ok:
-        raise TableauError(why)
+    _check_layout(t, require_contiguous)
     return t
 
 
@@ -180,12 +204,7 @@ def replace_cells(
     require_contiguous: bool = True,
 ) -> DominoTableau:
     """New tableau with the given labels relocated."""
-    ds = []
-    for d in tableau.dominoes:
-        if d.label in moves:
-            ds.append(make_domino(d.label, moves[d.label]))
-        else:
-            ds.append(d)
+    ds = [(d.label, moves[d.label]) if d.label in moves else d for d in tableau.dominoes]
     return make_tableau(tableau.lie_type, ds, require_contiguous=require_contiguous)
 
 
@@ -216,7 +235,7 @@ def to_json_dict(tableau: DominoTableau) -> dict:
 
 
 def from_json_dict(doc: dict, require_contiguous: bool = True) -> DominoTableau:
-    if not isinstance(doc, dict) or "type" not in doc or "dominoes" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("dominoes"), list) or "type" not in doc:
         raise TableauError(f"malformed tableau document: {doc!r}")
     ds = []
     for entry in doc["dominoes"]:

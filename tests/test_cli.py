@@ -1,10 +1,14 @@
+import contextlib
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from domino_tableaux.cli import main
+from domino_tableaux.cli import OPERATOR_NAMES, main
 from domino_tableaux.cycles import Coloring, move_through_extended
+from domino_tableaux.enumeration import SUITE_NAMES
 from domino_tableaux.insertion import pair_serialize, pair_to_json_dict, rs
 from domino_tableaux.pipeline import special_projection
 from domino_tableaux.tableau import serialize, to_json_dict
@@ -103,8 +107,11 @@ def test_move_pair_is_extended(capsys):
 
 def test_move_pair_multiple_labels_rejected(capsys):
     pair = rs((-1, 2), "C")
-    code, out, err = run(capsys, "move", "--label", "1,2", pair_serialize(pair))
-    assert code == 1 and "single label" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["move", "--label", "1,2", pair_serialize(pair)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "single label" in err
 
 
 def test_op_equal_length(capsys):
@@ -124,6 +131,16 @@ def test_op_equal_length_undefined(capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["defined"] is False and "neither" in doc["reason"]
+
+
+def test_op_equal_length_needs_indices(capsys):
+    pair = pair_serialize(rs((2, 1, 3), "C"))
+    for argv in (["op", "equal-length", pair], ["op", "equal-length", pair, "--i", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "needs --i and --j" in err
 
 
 def test_op_unequal_length(capsys):
@@ -244,3 +261,101 @@ def test_count_malformed_shape_is_usage_error(capsys, shape):
         main(["count", "--type", "C", shape])
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+def test_move_unknown_label_prints_plain_message(capsys):
+    text = serialize(rs((2, -1), "C").left)
+    code, out, err = run(capsys, "move", text, "--label", "0")
+    assert code == 1 and out == ""
+    assert err == "error: no domino labeled 0\n"
+
+
+@pytest.mark.parametrize("dominoes", ["5", "null", '"x"', "{}"])
+def test_malformed_tableau_document_exits_one(capsys, dominoes):
+    text = '{"type": "C", "dominoes": %s}' % dominoes
+    code, out, err = run(capsys, "orbital", "--type", "C", text)
+    assert code == 1 and out == ""
+    assert err.startswith("error: malformed tableau document")
+
+
+_C_PAIR = rs((-1, 2), "C")
+_B_PAIR = rs((2, -1, 3), "B")
+_C_LEFT = to_json_dict(_C_PAIR.left)
+# Positional inputs: words, shapes, suite and operator names, and tableau
+# or pair JSON, valid and malformed.
+FUZZ_INPUTS = (
+    "2 -1", "-1 2", "3 -1 2", "1 2 3", "2 2", "0", "", "x", "-",
+    "[2,2]", "[3,1]", "[3]", "[2,x]", "[]", "[1,3]",
+    serialize(_C_PAIR.left),
+    serialize(_B_PAIR.right),
+    pair_serialize(_C_PAIR),
+    pair_serialize(_B_PAIR),
+    json.dumps({"left": _C_LEFT, "right": to_json_dict(_B_PAIR.right)}),
+    json.dumps({"left": _C_LEFT, "right": {"type": "C", "dominoes": 5}}),
+    '{"type": "C", "dominoes": 5}',
+    '{"type": "B", "dominoes": null}',
+    '{"type": "C", "dominoes": [5]}',
+    '{"type": "Z", "dominoes": []}',
+    '{"type": "C", "dominoes": [{"label": 1, "cells": [[1, 2], [1, 3]]}]}',
+    '{"type": "B", "dominoes": [{"label": 2, "cells": [[1, 2], [1, 3]]}]}',
+    '{"left": 1, "right": 2}',
+    "[1, 2]", "null", "{}", "{",
+    *SUITE_NAMES,
+    *OPERATOR_NAMES,
+)
+# Argument lists that parse; "T" takes a type and "X" one of FUZZ_INPUTS.
+FUZZ_SKELETONS = (
+    ["rs", "--type", "T", "X"],
+    ["inverse", "X"],
+    ["orbital", "--type", "T", "X"],
+    ["special", "--type", "T", "X"],
+    ["cycles", "--type", "T", "X"],
+    ["move", "X", "--label", "1"],
+    ["op", "unequal-length", "X"],
+    ["op", "type-d", "X"],
+    ["op", "equal-length", "X", "--i", "2", "--j", "3"],
+    ["count", "--type", "T", "X"],
+    ["verify", "--type", "T", "X", "--n", "2"],
+)
+# Appended to a skeleton: options that override or break it, and stray
+# tokens.  "--n" never exceeds 3, so verification stays small.
+FUZZ_EXTRAS = tuple(
+    [flag, value]
+    for flag, values in (
+        ("--label", ("2", "0", "-1", "1,2", "x")),
+        ("--i", ("3", "x")),
+        ("--j", ("1", "2")),
+        ("--n", ("1", "3", "0")),
+        ("--sample", ("1", "0")),
+        ("--seed", ("1",)),
+        ("--coloring", ("native", "typeD", "both")),
+        ("--format", ("ascii",)),
+        ("--type", ("B", "C")),
+    )
+    for value in values
+) + (["-h"], ["--type"], ["--bogus"], ["x"], ["2 -1"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(FUZZ_SKELETONS),
+    st.sampled_from("BC"),
+    st.sampled_from(FUZZ_INPUTS),
+    st.lists(st.sampled_from(FUZZ_EXTRAS), max_size=2),
+    st.sampled_from(FUZZ_INPUTS),
+)
+def test_cli_exit_code_contract(skeleton, lie_type, text, extras, stdin_text):
+    # 0 success, 1 domain or verification failure, 2 usage error; nothing
+    # else may escape main, whatever the arguments
+    argv = [{"T": lie_type, "X": text}.get(token, token) for token in skeleton]
+    argv += [token for extra in extras for token in extra]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("sys.stdin", io.StringIO(stdin_text))
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -102,6 +103,69 @@ def test_validate_is_prefix_shape_chain():
                 assert all(b[i] >= a[i] for i in range(len(a)))
 
 
+def _first_bad_prefix(tab):
+    """Prefix oracle: the first label k whose prefix (core plus labels <= k)
+    is not a Young diagram, or None when every prefix is one."""
+    for d in tab.dominoes:
+        if not is_young(tab.prefix_cells(d.label)):
+            return d.label
+    return None
+
+
+def _random_layout(rng, lie_type):
+    """Up to five non-overlapping dominoes in a 5x5 box, off the core, with
+    increasing (possibly gapped) labels."""
+    taken = set(core_cells(lie_type))
+    cells = []
+    for _ in range(rng.randint(1, 5)):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        pair = ((r, c), (r, c + 1) if rng.random() < 0.5 else (r + 1, c))
+        if not taken & set(pair):
+            taken.update(pair)
+            cells.append(pair)
+    rng.shuffle(cells)
+    labels = sorted(rng.sample(range(1, 9), len(cells)))
+    return DominoTableau(
+        lie_type, tuple(make_domino(k, cs) for k, cs in zip(labels, cells))
+    )
+
+
+def test_local_rule_matches_prefix_oracle():
+    # validate applies the local up/left-neighbour rule in one pass; it must
+    # accept and reject exactly what the prefix definition does, and name
+    # the first prefix that fails
+    from domino_tableaux.enumeration import all_sdt
+    from domino_tableaux.partitions import partitions_of
+
+    def check(tab):
+        ok, why = validate(tab, require_contiguous=False)
+        bad = _first_bad_prefix(tab)
+        assert ok == (bad is None), (tab, why)
+        if bad is not None:
+            assert why == f"cells up to label {bad} do not form a Young diagram"
+        return ok
+
+    standard = []
+    for t, core in (("C", 0), ("B", 1)):
+        for n in range(5):
+            for shape in partitions_of(2 * n + core):
+                standard.extend(all_sdt(shape, t))
+    assert len(standard) == 210 and all(check(tab) for tab in standard)
+    rng = random.Random(20240611)
+    verdicts = [check(_random_layout(rng, rng.choice("BC"))) for _ in range(3000)]
+    # relabelled standard tableaux reach the subtler rejections: the cells
+    # fill a Young diagram but the label order is wrong
+    for tab in standard * 4:
+        labels = sorted(rng.sample(range(1, 12), len(tab.dominoes)))
+        rng.shuffle(labels)
+        relabelled = sorted(
+            (make_domino(k, d.cells) for k, d in zip(labels, tab.dominoes)),
+            key=lambda d: d.label,
+        )
+        verdicts.append(check(DominoTableau(tab.lie_type, tuple(relabelled))))
+    assert verdicts.count(True) > 150 and verdicts.count(False) > 1500
+
+
 def test_replace_cells():
     t = make_tableau("C", H_PAIR_C)
     moved = replace_cells(t, {2: ((2, 1), (3, 1))})
@@ -129,3 +193,9 @@ def test_deserialize_rejects_garbage():
         from_json_dict({"type": "Z", "dominoes": []})
     with pytest.raises((TableauError, ValueError, KeyError)):
         deserialize('{"type": "C", "dominoes": [{"label": 1, "cells": [[1, 1]]}]}')
+
+
+@pytest.mark.parametrize("dominoes", [5, None, "x", {}, ""])
+def test_from_json_dict_needs_a_domino_list(dominoes):
+    with pytest.raises(TableauError, match="malformed tableau document"):
+        from_json_dict({"type": "C", "dominoes": dominoes})
