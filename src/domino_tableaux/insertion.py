@@ -1,19 +1,41 @@
 """Domino insertion and the Robinson-Schensted map for signed permutations.
 
-Inserting a signed value v into a tableau places a domino labeled |v|
-(horizontal entering row 1 for v > 0, vertical entering column 1 for v < 0)
-after removing every domino with a larger label, then re-inserts those
-larger labels in increasing order: a domino whose old cells are untouched
-stays; one whose cells are fully covered slides to the end of the next row
-(next column when vertical); one covered on a single cell twists around its
-surviving cell.  The map w -> (insertion tableau, recording tableau) is a
-bijection onto same-shape standard pairs, and the inverse is recovered by
-running the bumping backwards while tracking the two-cell region by which
-the growing prefix differs from the shrinking one.
+Garfinkle's domino insertion (Compositio Math. 75, 1990, section 1).
+Inserting a signed value v places a domino labeled k = |v|, horizontal at
+the end of row 1 for v > 0 and vertical at the end of column 1 for v < 0,
+behind the dominoes with smaller labels.  Every larger domino whose cells a
+placed domino covers is then bumped, in increasing label order: one covered
+on both cells slides to the end of the next row (next column when
+vertical); one covered on a single cell twists around its surviving cell.
+A domino that nothing covers never moves, so one insertion touches only the
+dominoes on its bumping path.
+
+The kernel keeps the whole word's layout (label -> domino) and owner map
+(cell -> label, 0 for the type-B core) and changes both in place.  A heap
+holds the labels that placed cells have covered; a domino that is not hit
+is never visited.  When label k is bumped, every label below k already sits
+where it ends up, so the owner map's cells of label < k form the standard
+(k-1)-prefix, a Young diagram.  The length of a row or column of that prefix
+is therefore the number of leading cells in that line with a label below k,
+read without scanning the rest of the tableau.
+
+After each letter the standardness rule of ``tableau.misplaced_cell`` runs
+on the moved cells and their right and lower neighbours; with
+``make_domino`` on each moved domino and an overlap check as cells are
+claimed, every intermediate tableau is verified standard.  The finished
+pair still goes through ``make_tableau`` and ``make_pair`` once.
+
+The inverse runs the bumping backwards while tracking the two-cell region
+by which the tableau differs from the one before the letter: the next
+domino to unbump is the largest owner below the last one among the region
+cells, and an unslide lands at the end of the previous line of the same
+prefix.  The map w -> (insertion tableau, recording tableau) is a bijection
+onto same-shape standard pairs.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 
@@ -27,6 +49,7 @@ from .tableau import (
     from_json_dict,
     make_domino,
     make_tableau,
+    misplaced_cell,
     to_json_dict,
 )
 
@@ -47,145 +70,173 @@ def make_pair(left: DominoTableau, right: DominoTableau) -> TableauPair:
     return TableauPair(left, right)
 
 
-def _row_len(cells: set[Cell], row: int) -> int:
-    return sum(1 for r, _ in cells if r == row)
+def _leading(owner: dict[Cell, int], cell: Cell, horizontal: bool, bound: int) -> int:
+    """How many cells from ``cell`` on, along its row (or its column when
+    not ``horizontal``), carry a label below ``bound``."""
+    r, c = cell
+    n = 0
+    while True:
+        lbl = owner.get((r, c))
+        if lbl is None or lbl >= bound:
+            return n
+        n += 1
+        if horizontal:
+            c += 1
+        else:
+            r += 1
 
 
-def _col_len(cells: set[Cell], col: int) -> int:
-    return sum(1 for _, c in cells if c == col)
-
-
-def _initial_cells(current: set[Cell], value: int) -> tuple[Cell, Cell]:
-    if value > 0:
-        length = _row_len(current, 1)
-        return ((1, length + 1), (1, length + 2))
-    length = _col_len(current, 1)
-    return ((length + 1, 1), (length + 2, 1))
-
-
-def _reinsert(current: set[Cell], d: Domino) -> tuple[Cell, Cell]:
-    c1, c2 = d.cells
-    covered1, covered2 = c1 in current, c2 in current
-    if not covered1 and not covered2:
-        return d.cells
+def _bumped(owner: dict[Cell, int], d: Domino) -> tuple[Cell, Cell]:
+    """Where domino d goes once a smaller label has covered its cells."""
+    (r, c), _ = d.cells
+    covered1, covered2 = (owner[cell] != d.label for cell in d.cells)
     if d.horizontal:
-        row, col = c1
         if covered1 and covered2:
-            length = _row_len(current, row + 1)
-            return ((row + 1, length + 1), (row + 1, length + 2))
+            n = _leading(owner, (r + 1, 1), True, d.label)
+            return ((r + 1, n + 1), (r + 1, n + 2))
         if covered1:
-            return ((row, col + 1), (row + 1, col + 1))
+            return ((r, c + 1), (r + 1, c + 1))
         raise TableauError(f"domino {d.label}: right cell covered but left free")
-    row, col = c1
     if covered1 and covered2:
-        length = _col_len(current, col + 1)
-        return ((length + 1, col + 1), (length + 2, col + 1))
+        n = _leading(owner, (1, c + 1), False, d.label)
+        return ((n + 1, c + 1), (n + 2, c + 1))
     if covered1:
-        return ((row + 1, col), (row + 1, col + 1))
+        return ((r + 1, c), (r + 1, c + 1))
     raise TableauError(f"domino {d.label}: bottom cell covered but top free")
+
+
+def _insert(layout: dict[int, Domino], owner: dict[Cell, int], value: int) -> list[Cell]:
+    """Insert one signed value into the layout and owner map in place,
+    moving only the dominoes on its bumping path; returns the two cells by
+    which the tableau grew."""
+    label = abs(value)
+    if label == 0:
+        raise TableauError("cannot insert 0")
+    if label in layout:
+        raise TableauError(f"label {label} already present")
+    n = _leading(owner, (1, 1), value > 0, label)
+    cells = ((1, n + 1), (1, n + 2)) if value > 0 else ((n + 1, 1), (n + 2, 1))
+    hits: list[int] = []
+    grown: list[Cell] = []
+    touched: set[Cell] = set()
+    k = last = label
+    while True:
+        d = layout[k] = make_domino(k, cells)
+        for cell in d.cells:
+            prev = owner.get(cell)
+            if prev is None:
+                grown.append(cell)
+            elif prev > k:
+                heapq.heappush(hits, prev)
+            elif prev != k:
+                who = "the core" if prev == 0 else f"domino {prev}"
+                raise TableauError(f"cell {cell} of domino {k} overlaps {who}")
+            owner[cell] = k
+            r, c = cell
+            touched.update((cell, (r + 1, c), (r, c + 1)))
+        while hits and hits[0] == last:
+            heapq.heappop(hits)
+        if not hits:
+            break
+        k = last = heapq.heappop(hits)
+        cells = _bumped(owner, layout[k])
+    bad = misplaced_cell(owner.get, touched)
+    if bad is not None:
+        raise TableauError(f"cells up to label {owner[bad]} do not form a Young diagram")
+    return grown
 
 
 def insert_letter(tableau: DominoTableau, value: int) -> DominoTableau:
     """Insert one signed value; dominoes with smaller labels never move."""
-    label = abs(value)
-    if label == 0:
-        raise TableauError("cannot insert 0")
-    if tableau.has_label(label):
-        raise TableauError(f"label {label} already present")
-    smaller = [d for d in tableau.dominoes if d.label < label]
-    larger = [d for d in tableau.dominoes if d.label > label]
-    current: set[Cell] = set(core_cells(tableau.lie_type))
-    for d in smaller:
-        current.update(d.cells)
-    placed = {label: _initial_cells(current, value)}
-    current.update(placed[label])
-    for d in larger:
-        cells = _reinsert(current, d)
-        placed[d.label] = cells
-        current.update(cells)
-    dominoes = smaller + [make_domino(lbl, placed[lbl]) for lbl in placed]
-    return make_tableau(tableau.lie_type, dominoes, require_contiguous=False)
+    layout = {d.label: d for d in tableau.dominoes}
+    owner = tableau.cell_owner()
+    _insert(layout, owner, value)
+    return make_tableau(tableau.lie_type, layout.values(), require_contiguous=False)
 
 
 def rs(w: SignedPerm, lie_type: str) -> TableauPair:
     """The full correspondence: insertion tableau and recording tableau."""
     w = as_signed_perm(w)
-    left = make_tableau(lie_type, [])
-    recording = []
-    for step, value in enumerate(w, start=1):
-        grown = insert_letter(left, value)
-        diff = grown.cells() - left.cells()
-        recording.append(make_domino(step, diff))
-        left = grown
+    try:
+        owner = {c: 0 for c in core_cells(lie_type)}
+    except ValueError as exc:
+        raise TableauError(str(exc)) from None
+    layout: dict[int, Domino] = {}
+    recording = [
+        make_domino(step, _insert(layout, owner, value)) for step, value in enumerate(w, start=1)
+    ]
+    left = make_tableau(lie_type, layout.values())
     right = make_tableau(lie_type, recording)
     return make_pair(left, right)
 
 
-def _reverse_step(
-    lie_type: str, work: dict[int, tuple[Cell, Cell]], delta: set[Cell]
-) -> tuple[int, dict[int, tuple[Cell, Cell]]]:
-    """Undo one insertion given the recording domino's cells; returns the
-    extracted signed value and the positions before that insertion."""
+def _uninsert(
+    work: dict[int, tuple[Cell, Cell]], owner: dict[Cell, int], delta: tuple[Cell, Cell]
+) -> int:
+    """Undo the last insertion in place, given the recording domino's cells;
+    returns the extracted signed value.  ``owner`` stays as the insertion
+    left it until the letter is found, because each unslide measures the
+    prefix the forward slide saw; then both maps are brought up to date."""
     region = set(delta)
-    out = dict(work)
-    for k in sorted(work, reverse=True):
+    undone: dict[int, tuple[Cell, Cell]] = {}
+    k = max(work, default=0) + 1
+    while True:
+        below = [lbl for lbl in map(owner.get, region) if lbl and lbl < k]
+        if not below:
+            raise TableauError("recording domino does not trace back to an insertion")
+        k = max(below)
         new = work[k]
-        meet = region & set(new)
-        if not meet:
-            continue
-        horizontal = new[0][0] == new[1][0]
+        meet = [cell for cell in new if cell in region]
+        (r, c), _ = new
+        horizontal = new[1][0] == r
         if len(meet) == 2:
-            if horizontal and new[0][0] == 1:
-                del out[k]
-                return k, out
-            if not horizontal and new[0][1] == 1:
-                del out[k]
-                return -k, out
-            prefix = set(core_cells(lie_type))
-            for lbl, cells in work.items():
-                if lbl < k:
-                    prefix.update(cells)
+            if (r if horizontal else c) == 1:
+                value = k if horizontal else -k
+                break
             if horizontal:
-                row = new[0][0]
-                length = _row_len(prefix, row - 1)
-                if length < 2:
+                n = _leading(owner, (r - 1, 1), True, k)
+                if n < 2:
                     raise TableauError(f"no room to unslide domino {k}")
-                old = ((row - 1, length - 1), (row - 1, length))
+                old = ((r - 1, n - 1), (r - 1, n))
             else:
-                col = new[0][1]
-                length = _col_len(prefix, col - 1)
-                if length < 2:
+                n = _leading(owner, (1, c - 1), False, k)
+                if n < 2:
                     raise TableauError(f"no room to unslide domino {k}")
-                old = ((length - 1, col - 1), (length, col - 1))
+                old = ((n - 1, c - 1), (n, c - 1))
+        elif not horizontal:
+            # came from a horizontal domino twisting around its right cell
+            if meet[0] != (r + 1, c) or c < 2:
+                raise TableauError(f"inconsistent region at domino {k}")
+            old = ((r, c - 1), (r, c))
         else:
-            (mr, mc) = next(iter(meet))
-            (r, c) = new[0]
-            if not horizontal:
-                # came from a horizontal domino twisting around its right cell
-                if (mr, mc) != (r + 1, c) or c < 2:
-                    raise TableauError(f"inconsistent region at domino {k}")
-                old = ((r, c - 1), (r, c))
-            else:
-                # came from a vertical domino twisting around its bottom cell
-                if (mr, mc) != (r, c + 1) or r < 2:
-                    raise TableauError(f"inconsistent region at domino {k}")
-                old = ((r - 1, c), (r, c))
-        out[k] = old
+            # came from a vertical domino twisting around its bottom cell
+            if meet[0] != (r, c + 1) or r < 2:
+                raise TableauError(f"inconsistent region at domino {k}")
+            old = ((r - 1, c), (r, c))
+        undone[k] = old
         region = (region | set(old)) - set(new)
         if len(region) != 2:
             raise TableauError(f"region lost track at domino {k}")
-    raise TableauError("recording domino does not trace back to an insertion")
+    del work[k]
+    for lbl, cells in undone.items():
+        work[lbl] = cells
+        for cell in cells:
+            owner[cell] = lbl
+    for cell in delta:
+        del owner[cell]
+    return value
 
 
 def rs_inverse(pair: TableauPair) -> SignedPerm:
     """The inverse correspondence; rs(rs_inverse(p)) == p."""
-    count = len(pair.right.dominoes)
     work = {d.label: d.cells for d in pair.left.dominoes}
+    owner = pair.left.cell_owner()
+    recording = {d.label: d.cells for d in pair.right.dominoes}
     values = []
-    for step in range(count, 0, -1):
-        delta = set(pair.right.domino(step).cells)
-        value, work = _reverse_step(pair.left.lie_type, work, delta)
-        values.append(value)
+    for step in range(len(recording), 0, -1):
+        if step not in recording:
+            raise KeyError(f"no domino labeled {step}")
+        values.append(_uninsert(work, owner, recording[step]))
     if work:
         raise TableauError("labels left over after unwinding")
     values.reverse()

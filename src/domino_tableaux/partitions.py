@@ -99,9 +99,23 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
         yield ()
         return
     cap = n if max_part is None else min(max_part, n)
-    for first in range(cap, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+    if cap < 1:
+        return
+    q, r = divmod(n, cap)
+    parts = [cap] * q + ([r] if r else [])
+    while True:
+        yield tuple(parts)
+        # the successor lowers the last part above 1 by one and refills the
+        # tail, its ones plus the unit taken, greedily with parts that size
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        m = parts.pop() - 1
+        q, r = divmod(ones + 1, m)
+        parts += [m] * (q + 1) + ([r] if r else [])
 
 
 def _bad_parity(group_type: str) -> int:

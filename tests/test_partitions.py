@@ -41,6 +41,29 @@ def test_partitions_of_counts():
         assert sum(1 for _ in partitions_of(n)) == expected
 
 
+def _recursive_partitions(n, max_part=None):
+    # the recursive form partitions_of replaced; it fails near depth 1000
+    if n == 0:
+        yield ()
+        return
+    cap = n if max_part is None else min(max_part, n)
+    for first in range(cap, 0, -1):
+        for rest in _recursive_partitions(n - first, first):
+            yield (first,) + rest
+
+
+def test_partitions_of_keeps_descending_lex_order():
+    assert list(partitions_of(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    for n in range(13):
+        for max_part in (None, *range(-1, n + 2)):
+            assert list(partitions_of(n, max_part)) == list(_recursive_partitions(n, max_part))
+
+
+def test_partitions_of_has_no_recursion_limit():
+    assert list(partitions_of(1500, max_part=1)) == [(1,) * 1500]
+    assert sum(1 for _ in partitions_of(1500, max_part=2)) == 751
+
+
 def test_partitions_of_are_partitions_and_distinct():
     seen = set(partitions_of(8))
     assert len(seen) == 22
