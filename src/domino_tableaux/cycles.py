@@ -15,18 +15,17 @@ other position D'(k) through its fixed cell, decided by the label of one
 diagonal neighbour (``_moved_position``).  The cycles are the connected
 components of the relation "D'(k) meets D(l)"; a component whose
 simultaneous move is not standard is frozen into single-label identity
-cycles.  One table per (tableau, coloring) holds the cycles and every D'(k),
-in time linear in the number of dominoes.  The exhaustive search over all
-standard re-tilings, which takes time exponential in the number of cycles,
-is kept in the tests as the oracle for this construction.
+cycles.  Each cycle carries its move and its source tableau; all of them are
+built in time linear in the number of dominoes.  The exhaustive search over
+all standard re-tilings, which takes time exponential in the number of
+cycles, is kept in the tests as the oracle for this construction.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .insertion import TableauPair, make_pair
@@ -84,6 +83,10 @@ class Cycle:
     corner: Cell | None
     down: bool | None
     boxed: bool
+    # D'(k) for each label, empty when the cycle is frozen, and the tableau
+    # the cycle was found in; neither takes part in equality.
+    moves: tuple[tuple[Cell, Cell], ...] = field(default=(), compare=False, repr=False)
+    source: DominoTableau | None = field(default=None, compare=False, repr=False)
 
 
 def _label_at(owner: dict[Cell, int], cell: Cell) -> float:
@@ -146,6 +149,7 @@ def _is_standard_move(
 
 
 def _moving_cycle(
+    tableau: DominoTableau,
     labels: list[int],
     coloring: Coloring,
     original: dict[int, tuple[Cell, Cell]],
@@ -154,27 +158,25 @@ def _moving_cycle(
     old = {c for lbl in labels for c in original[lbl]}
     new = {c for lbl in labels for c in moves[lbl]}
     boxed = is_boxed(original[labels[0]], coloring)
+    step = tuple(moves[lbl] for lbl in labels)
     if new == old:
-        return Cycle(tuple(labels), coloring, False, None, None, None, boxed)
+        return Cycle(tuple(labels), coloring, False, None, None, None, boxed, step, tableau)
     holes, corners = old - new, new - old
     if len(holes) != 1 or len(corners) != 1:
         raise RuntimeError(f"open move must trade single cells, got {holes} / {corners}")
     hole, corner = holes.pop(), corners.pop()
-    return Cycle(tuple(labels), coloring, True, hole, corner, corner[0] > hole[0], boxed)
+    return Cycle(
+        tuple(labels), coloring, True, hole, corner, corner[0] > hole[0], boxed, step, tableau
+    )
 
 
-@dataclass(frozen=True)
-class _CycleTable:
-    cycles: tuple[Cycle, ...]  # sorted by labels
-    by_label: dict[int, Cycle]
-    moves: dict[int, tuple[Cell, Cell]]  # D'(k) for every label that moves
+def all_cycles(tableau: DominoTableau, coloring: Coloring) -> tuple[Cycle, ...]:
+    """Each cycle once, sorted by labels; they partition the labels.
 
-
-@lru_cache(maxsize=4096)
-def _cycle_table(tableau: DominoTableau, coloring: Coloring) -> _CycleTable:
-    """Cycles as the connected components of "D'(k) meets D(l)"; a
-    component whose simultaneous move is not standard is frozen into
-    closed single-label cycles whose move is the identity."""
+    The cycles are the connected components of "D'(k) meets D(l)"; a
+    component whose simultaneous move is not standard is frozen into closed
+    single-label cycles whose move is the identity.
+    """
     owner = tableau.cell_owner()
     original = {d.label: d.cells for d in tableau.dominoes}
     moved = {d.label: _moved_position(d, owner, coloring) for d in tableau.dominoes}
@@ -194,31 +196,27 @@ def _cycle_table(tableau: DominoTableau, coloring: Coloring) -> _CycleTable:
     for lbl in original:
         components.setdefault(find(lbl), []).append(lbl)
     cycles: list[Cycle] = []
-    moves: dict[int, tuple[Cell, Cell]] = {}
     for labels in components.values():
         step = {lbl: moved[lbl] for lbl in labels}
         if _is_standard_move(owner, original, step):
-            moves.update(step)
-            cycles.append(_moving_cycle(labels, coloring, original, step))
+            cycles.append(_moving_cycle(tableau, labels, coloring, original, step))
         else:
-            cycles.extend(
-                Cycle((lbl,), coloring, False, None, None, None, is_boxed(original[lbl], coloring))
-                for lbl in labels
-            )
+            for lbl in labels:
+                boxed = is_boxed(original[lbl], coloring)
+                cycles.append(Cycle((lbl,), coloring, False, None, None, None, boxed, (), tableau))
     cycles.sort(key=lambda cy: cy.labels)
-    by_label = {lbl: cy for cy in cycles for lbl in cy.labels}
-    return _CycleTable(tuple(cycles), by_label, moves)
+    return tuple(cycles)
+
+
+def _cycle_with(cycles: tuple[Cycle, ...], label: int) -> Cycle:
+    for cy in cycles:
+        if label in cy.labels:
+            return cy
+    raise KeyError(f"no domino labeled {label}")
 
 
 def cycle_of(tableau: DominoTableau, label: int, coloring: Coloring) -> Cycle:
-    if not tableau.has_label(label):
-        raise KeyError(f"no domino labeled {label}")
-    return _cycle_table(tableau, coloring).by_label[label]
-
-
-def all_cycles(tableau: DominoTableau, coloring: Coloring) -> tuple[Cycle, ...]:
-    """Each cycle once; they partition the labels."""
-    return _cycle_table(tableau, coloring).cycles
+    return _cycle_with(all_cycles(tableau, coloring), label)
 
 
 def move_through(tableau: DominoTableau, cycle: Cycle) -> DominoTableau:
@@ -226,7 +224,10 @@ def move_through(tableau: DominoTableau, cycle: Cycle) -> DominoTableau:
 
 
 def move_through_set(tableau: DominoTableau, cycles: Iterable[Cycle]) -> DominoTableau:
-    """Apply label-disjoint cycles simultaneously (order cannot matter)."""
+    """Apply label-disjoint cycles simultaneously (order cannot matter).
+
+    Each cycle must come from this tableau, or from an equal one.
+    """
     cycles = list(cycles)
     taken: set[int] = set()
     for cy in cycles:
@@ -235,22 +236,15 @@ def move_through_set(tableau: DominoTableau, cycles: Iterable[Cycle]) -> DominoT
         taken.update(cy.labels)
     if not taken:
         return tableau
-    colorings = {cy.coloring for cy in cycles}
-    if len(colorings) != 1:
+    if len({cy.coloring for cy in cycles}) != 1:
         raise TableauError("cannot mix colorings in one simultaneous move")
-    coloring = colorings.pop()
-    table = _cycle_table(tableau, coloring)
-    moving: set[int] = set()
+    moves: dict[int, tuple[Cell, Cell]] = {}
     for cy in cycles:
-        current = table.by_label.get(cy.labels[0])
-        if current is None or current.labels != cy.labels:
+        if not (cy.source is tableau or cy.source == tableau):
             raise TableauError(f"{sorted(cy.labels)} is not a cycle of this tableau")
-        if cy.labels[0] in table.moves:
-            moving.update(cy.labels)
-        # otherwise a frozen label: its move is the identity
-    if not moving:
+        moves.update(zip(cy.labels, cy.moves))  # a frozen cycle adds nothing
+    if not moves:
         return tableau
-    moves = {lbl: table.moves[lbl] for lbl in moving}
     return replace_cells(tableau, moves, require_contiguous=False)
 
 
@@ -261,12 +255,10 @@ def _boundary(cycles: Iterable[Cycle]) -> tuple[set[Cell], set[Cell]]:
 
 
 def _cycle_at_square(
-    tableau: DominoTableau, coloring: Coloring, square: Cell, taken: list[Cycle]
+    cycles: tuple[Cycle, ...], square: Cell, taken: list[Cycle]
 ) -> Cycle | None:
     got = [
-        cy
-        for cy in all_cycles(tableau, coloring)
-        if cy.open and square in (cy.hole, cy.corner) and cy not in taken
+        cy for cy in cycles if cy.open and square in (cy.hole, cy.corner) and cy not in taken
     ]
     if len(got) > 1:
         raise TableauError(
@@ -287,11 +279,13 @@ def extended_cycle(
     and the induced move is the identity: on such a pair every choice other
     than moving nothing would leave the two shapes unequal.
     """
-    seed = cycle_of(pair.right, label, coloring)
+    right_all = all_cycles(pair.right, coloring)
+    seed = _cycle_with(right_all, label)
     right_cycles = [seed]
     left_cycles: list[Cycle] = []
     if not seed.open:
         return tuple(right_cycles), ()
+    left_all = all_cycles(pair.left, coloring)
     for _ in range(2 * len(pair.right.dominoes) + 2):
         rholes, rcorners = _boundary(right_cycles)
         lholes, lcorners = _boundary(left_cycles)
@@ -301,13 +295,13 @@ def extended_cycle(
             return tuple(right_cycles), tuple(left_cycles)
         if missing_left:
             square = min(missing_left)
-            found = _cycle_at_square(pair.left, coloring, square, left_cycles)
+            found = _cycle_at_square(left_all, square, left_cycles)
             if found is None:
                 return (), ()
             left_cycles.append(found)
         else:
             square = min(missing_right)
-            found = _cycle_at_square(pair.right, coloring, square, right_cycles)
+            found = _cycle_at_square(right_all, square, right_cycles)
             if found is None:
                 return (), ()
             right_cycles.append(found)

@@ -11,13 +11,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .cycles import Coloring, all_cycles, cycle_of, move_through
 from .insertion import rs, rs_inverse
 from .operators import (
     equal_length_domain,
-    tau,
     type_d_domain,
     unequal_length_domain,
     wall_cross_equal_length,
@@ -35,7 +33,6 @@ from .partitions import (
 )
 from .pipeline import orbital_tableau
 from .signed_perm import (
-    SignedPerm,
     compose,
     enumerate_group,
     format_perm,
@@ -276,23 +273,27 @@ def _admissible(tab: DominoTableau):
                 yield moved
 
 
-@lru_cache(maxsize=None)
-def _terminals(tab: DominoTableau) -> frozenset[DominoTableau]:
-    if is_orbit_partition(tab.shape(), tab.lie_type):
-        return frozenset([tab])
-    out: set[DominoTableau] = set()
-    for moved in _admissible(tab):
-        out |= _terminals(moved)
-    return frozenset(out)
+def _terminals(
+    tab: DominoTableau, memo: dict[DominoTableau, frozenset[DominoTableau]]
+) -> frozenset[DominoTableau]:
+    """Every terminal tableau that some run of admissible moves reaches;
+    ``memo`` shares the work between the tableaux of one run."""
+    if tab not in memo:
+        if is_orbit_partition(tab.shape(), tab.lie_type):
+            memo[tab] = frozenset([tab])
+        else:
+            memo[tab] = frozenset().union(*(_terminals(m, memo) for m in _admissible(tab)))
+    return memo[tab]
 
 
 def _suite_pipeline_confluence(n, lie_type, report, seed=DEFAULT_SEED, sample=None):
     tableaux = sorted(_left_tableaux(n, lie_type), key=lambda t: serialize(t))
     if sample is not None and len(tableaux) > sample:
         tableaux = random.Random(seed).sample(tableaux, sample)
+    memo: dict[DominoTableau, frozenset[DominoTableau]] = {}
     for tab in tableaux:
         report["instances"] += 1
-        ends = _terminals(tab)
+        ends = _terminals(tab, memo)
         if len(ends) != 1:
             report["failures"].append(
                 f"{serialize(tab)}: {len(ends)} distinct terminal tableaux"
@@ -395,34 +396,3 @@ def verify_suite(
         instances=state["instances"],
         failures=tuple(state["failures"]),
     )
-
-
-# ---------------------------------------------------------------------------
-# bounded-depth signature separating annealed classes
-
-
-def tau_signature(w: SignedPerm, depth: int, lie_type: str):
-    """Descent data plus, recursively, the signatures of all operator
-    images, canonicalized as nested tuples for equality comparison."""
-    n = len(w)
-    head = tuple(sorted(tau(w, "left")))
-    if depth <= 0:
-        return (head,)
-    branches = []
-    for i in range(2, n):
-        if equal_length_domain(w, i, i + 1).defined:
-            image = wall_cross_equal_length(w, i, i + 1)
-            branches.append((f"equal-length-{i}", tau_signature(image, depth - 1, lie_type)))
-        else:
-            branches.append((f"equal-length-{i}", None))
-    pair = rs(w, lie_type)
-    for name, domain, apply in (
-        ("unequal-length", unequal_length_domain, wall_cross_unequal_length),
-        ("type-d", type_d_domain, wall_cross_type_d),
-    ):
-        if domain(pair).defined:
-            image_w = rs_inverse(apply(pair))
-            branches.append((name, tau_signature(image_w, depth - 1, lie_type)))
-        else:
-            branches.append((name, None))
-    return (head, tuple(branches))

@@ -151,10 +151,11 @@ def test_criterion_07_confluence():
     # types), which subsumes the 500-element randomized floor; the sampling
     # path stays available through verify_suite(seed=..., sample=...).
     for t in TYPES:
+        memo = {}
         for n in range(1, 5):
             for tab in _left_tableaux(n, t):
                 instances += 1
-                terminals = _terminals(tab)
+                terminals = _terminals(tab, memo)
                 ok = ok and len(terminals) == 1
                 ok = ok and next(iter(terminals)) == orbital_tableau(tab).tableau
     _gate(7, "confluence", ok, f"exhaustive n <= 4, {instances} tableaux")

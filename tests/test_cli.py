@@ -336,6 +336,19 @@ FUZZ_EXTRAS = tuple(
 ) + (["-h"], ["--type"], ["--bogus"], ["x"], ["2 -1"])
 
 
+def _run_with_stdin(argv, stdin_text):
+    """main(argv) reading stdin_text as stdin: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("sys.stdin", io.StringIO(stdin_text))
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     st.sampled_from(FUZZ_SKELETONS),
@@ -349,13 +362,40 @@ def test_cli_exit_code_contract(skeleton, lie_type, text, extras, stdin_text):
     # else may escape main, whatever the arguments
     argv = [{"T": lie_type, "X": text}.get(token, token) for token in skeleton]
     argv += [token for extra in extras for token in extra]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("sys.stdin", io.StringIO(stdin_text))
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+    code, _, err = _run_with_stdin(argv, stdin_text)
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+# Signed permutations of rank 1 to 4.
+SIGNED_WORDS = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.permutations(range(1, n + 1)), st.lists(st.booleans(), min_size=n, max_size=n)
+    )
+).map(lambda ps: tuple(-x if neg else x for x, neg in zip(*ps)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["orbital", "special", "cycles"]),
+    st.sampled_from("BC"),
+    SIGNED_WORDS,
+    st.sampled_from(["left", "right"]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_cli_type_conflicting_with_json_is_usage_error(
+    command, lie_type, w, side, from_stdin, ascii_out
+):
+    pair = rs(w, lie_type)
+    text = serialize(pair.left if side == "left" else pair.right)
+    other = "C" if lie_type == "B" else "B"
+    extras = ["--format", "ascii"] if ascii_out else []
+    argv = [command, "--type", other, "-" if from_stdin else text, *extras]
+    code, out, err = _run_with_stdin(argv, text)
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage: dtab {command}")
+    assert f"--type {other} conflicts with the tableau's type {lie_type}" in err
+    argv[2] = lie_type
+    code, _, err = _run_with_stdin(argv, text)
+    assert code in (0, 1) and "usage:" not in err

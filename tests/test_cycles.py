@@ -1,5 +1,7 @@
+import gc
 import itertools
 import time
+import weakref
 from functools import lru_cache
 
 import pytest
@@ -20,8 +22,16 @@ from domino_tableaux.cycles import (
 from domino_tableaux.enumeration import all_sdt
 from domino_tableaux.insertion import rs
 from domino_tableaux.partitions import partitions_of
+from domino_tableaux.pipeline import orbital_tableau, special_projection
 from domino_tableaux.signed_perm import enumerate_group
-from domino_tableaux.tableau import core_cells, is_young, make_tableau
+from domino_tableaux.tableau import (
+    TableauError,
+    core_cells,
+    deserialize,
+    is_young,
+    make_tableau,
+    serialize,
+)
 
 NATIVE = Coloring.NATIVE
 TYPE_D = Coloring.TYPE_D
@@ -267,6 +277,47 @@ def test_move_through_set_empty_and_overlap():
     cy = cycle_of(H_PAIR, 2, NATIVE)
     with pytest.raises(ValueError):
         move_through_set(H_PAIR, (cy, cy))
+
+
+def test_cycle_of_another_tableau_is_rejected():
+    tab = C((1, ((1, 1), (2, 1))), (2, ((1, 2), (1, 3))), (3, ((2, 2), (2, 3))))
+    cy = cycle_of(tab, 2, NATIVE)
+    assert cy.labels not in {c.labels for c in all_cycles(T31, NATIVE)}
+    with pytest.raises(TableauError, match="is not a cycle of this tableau"):
+        move_through(T31, cy)
+
+
+def test_cycle_with_matching_labels_is_still_bound_to_its_tableau():
+    # {2} is an open native cycle of both T31 and H_PAIR, with different
+    # moves; T31's cycle must not be taken for H_PAIR's.
+    cy = cycle_of(T31, 2, NATIVE)
+    assert cycle_of(H_PAIR, 2, NATIVE).labels == cy.labels
+    with pytest.raises(TableauError, match="is not a cycle of this tableau"):
+        move_through(H_PAIR, cy)
+    with pytest.raises(TableauError, match="is not a cycle of this tableau"):
+        move_through_set(H_PAIR, [cycle_of(H_PAIR, 1, NATIVE), cy])
+
+
+def test_cycle_of_an_equal_tableau_is_accepted():
+    copy = deserialize(serialize(T31))
+    assert copy == T31 and copy is not T31
+    for col in Coloring:
+        for cy in all_cycles(T31, col):
+            assert move_through(copy, cy) == move_through(T31, cy)
+
+
+def test_no_tableau_outlives_its_calls():
+    tab = rs((-1, 6, 8, -3, 2, 7, -5, 4), "C").left  # neither special nor an orbit shape
+    ref = weakref.ref(tab)
+    for col in Coloring:
+        for cy in all_cycles(tab, col):
+            moved = move_through(tab, cy)
+            assert move_through(moved, cycle_of(moved, cy.labels[0], col)) == tab
+    assert orbital_tableau(tab).trace
+    assert special_projection(tab) != tab
+    del tab, cy, moved
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("t", ["C", "B"])

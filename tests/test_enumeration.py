@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 from functools import lru_cache
 
 import pytest
 
+import domino_tableaux
 from domino_tableaux.enumeration import (
     DEFAULT_SEED,
     SUITE_NAMES,
@@ -10,7 +14,6 @@ from domino_tableaux.enumeration import (
     _removals,
     all_sdt,
     count_sdt,
-    tau_signature,
     verify_suite,
 )
 from domino_tableaux.partitions import partitions_of
@@ -115,31 +118,27 @@ def test_confluence_sampling_is_deterministic():
     assert a.instances < full.instances
 
 
-def test_tau_signature_shallow():
-    assert tau_signature((1, 2), 0, "C") == ((),)
-    assert tau_signature((1, -2), 0, "C") == ((2,),)
-    assert tau_signature((2, -1), 0, "C") == ((1,),)
-
-
-def test_tau_signature_structure():
-    head, branches = tau_signature((1, -2, 3), 1, "C")
-    assert head == (2,)
-    names = [name for name, _ in branches]
-    assert names == ["equal-length-2", "unequal-length", "type-d"]
-    assert tau_signature((1, -2, 3), 1, "C") == tau_signature((1, -2, 3), 1, "C")
-
-
-def test_tau_signature_separates_rank_two_classes():
-    # At rank two the depth-three signature classes coincide with the fibers
-    # of the annealing map; from rank three on the two partitions differ.
-    from domino_tableaux.insertion import rs
-    from domino_tableaux.pipeline import orbital_tableau
-    from domino_tableaux.signed_perm import enumerate_group
-
-    for t in ("C", "B"):
-        by_sig = {}
-        for w in enumerate_group(2):
-            key = tau_signature(w, 3, t)
-            by_sig.setdefault(key, set()).add(orbital_tableau(rs(w, t).left).tableau)
-        assert len(by_sig) == 5
-        assert all(len(v) == 1 for v in by_sig.values())
+def test_verify_suite_keeps_no_tableaux():
+    # In a fresh interpreter, so that no earlier call in this process has
+    # already filled whatever a suite might keep.
+    script = (
+        "import gc\n"
+        "from domino_tableaux import DominoTableau, verify_suite\n"
+        "def live():\n"
+        "    gc.collect()\n"
+        "    return sum(isinstance(o, DominoTableau) for o in gc.get_objects())\n"
+        "before = live()\n"
+        "assert verify_suite('pipeline-confluence', 3, 'C').passed\n"
+        "print(before, live())\n"
+    )
+    src = os.path.dirname(os.path.dirname(domino_tableaux.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    before, after = out.stdout.split()
+    assert after == before
