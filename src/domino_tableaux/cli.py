@@ -18,7 +18,6 @@ import sys
 from .cycles import (
     Coloring,
     all_cycles,
-    coloring_from_name,
     cycle_of,
     move_through_extended,
     move_through_set,
@@ -135,7 +134,7 @@ def _cmd_special(args) -> int:
 def _cmd_cycles(args) -> int:
     tab = _tableau_arg(args.input, args.type, "left")
     colorings = (
-        list(Coloring) if args.coloring == "both" else [coloring_from_name(args.coloring)]
+        list(Coloring) if args.coloring == "both" else [Coloring(args.coloring)]
     )
     docs = [_cycle_doc(cy) for col in colorings for cy in all_cycles(tab, col)]
     lines = [
@@ -154,7 +153,7 @@ def _cmd_cycles(args) -> int:
 def _cmd_move(args) -> int:
     text = _read_input(args.input).strip()
     labels = args.label
-    coloring = coloring_from_name(args.coloring)
+    coloring = Coloring(args.coloring)
     try:
         doc = json.loads(text)
     except ValueError:
@@ -213,9 +212,10 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify_suite(
-        args.suite, args.n, args.type, seed=args.seed, sample=args.sample
-    )
+    if args.suite != "pipeline-confluence" and (args.seed, args.sample) != (None, None):
+        raise UsageError(f"--seed and --sample apply to pipeline-confluence, not {args.suite}")
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    report = verify_suite(args.suite, args.n, args.type, seed=seed, sample=args.sample)
     text = "{}: {} ({} instances, {} failures)".format(
         report.suite,
         "pass" if report.passed else "FAIL",
@@ -311,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--sample", type=_positive_int, default=None)
+    p.add_argument("--seed", type=int, help=f"pipeline-confluence only (default {DEFAULT_SEED})")
+    p.add_argument("--sample", type=_positive_int, help="pipeline-confluence only")
     p.set_defaults(func=_cmd_verify)
 
     return parser

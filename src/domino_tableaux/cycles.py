@@ -43,13 +43,6 @@ class Coloring(enum.Enum):
         return 1 if self is Coloring.NATIVE else 0
 
 
-def coloring_from_name(name: str) -> Coloring:
-    for c in Coloring:
-        if c.value == name:
-            return c
-    raise ValueError(f"unknown coloring {name!r}; expected 'native' or 'typeD'")
-
-
 def is_fixed(cell: Cell, coloring: Coloring) -> bool:
     return (cell[0] + cell[1]) % 2 == coloring.fixed_parity
 
@@ -109,7 +102,8 @@ def _moved_position(
     iff T(d) > k.
     """
     a, b = domino.cells
-    f, v = (a, b) if is_fixed(a, coloring) else (b, a)
+    f = fixed_cell(domino.cells, coloring)
+    v = b if f == a else a
     dr, dc = v[0] - f[0], v[1] - f[1]
     t = _label_at(owner, (f[0] - dr + dc, f[1] - dc + dr))
     rotate = t < domino.label if dr + dc > 0 else t > domino.label
@@ -245,7 +239,7 @@ def move_through_set(tableau: DominoTableau, cycles: Iterable[Cycle]) -> DominoT
         moves.update(zip(cy.labels, cy.moves))  # a frozen cycle adds nothing
     if not moves:
         return tableau
-    return replace_cells(tableau, moves, require_contiguous=False)
+    return replace_cells(tableau, moves)
 
 
 def _boundary(cycles: Iterable[Cycle]) -> tuple[set[Cell], set[Cell]]:

@@ -20,10 +20,11 @@ is therefore the number of leading cells in that line with a label below k,
 read without scanning the rest of the tableau.
 
 After each letter the standardness rule of ``tableau.misplaced_cell`` runs
-on the moved cells and their right and lower neighbours; with
-``make_domino`` on each moved domino and an overlap check as cells are
-claimed, every intermediate tableau is verified standard.  The finished
-pair still goes through ``make_tableau`` and ``make_pair`` once.
+on the moved cells and their right and lower neighbours; with each moved
+domino built (and so checked) as a ``Domino`` and an overlap check as cells
+are claimed, every intermediate tableau is verified standard.  The finished
+pair goes through ``make_tableau`` and ``make_pair`` once; the tableau
+constructor checks its layout and reuses the dominoes as they are.
 
 The inverse runs the bumping backwards while tracking the two-cell region
 by which the tableau differs from the one before the letter: the next
@@ -47,7 +48,6 @@ from .tableau import (
     TableauError,
     core_cells,
     from_json_dict,
-    make_domino,
     make_tableau,
     misplaced_cell,
     to_json_dict,
@@ -121,7 +121,7 @@ def _insert(layout: dict[int, Domino], owner: dict[Cell, int], value: int) -> li
     touched: set[Cell] = set()
     k = last = label
     while True:
-        d = layout[k] = make_domino(k, cells)
+        d = layout[k] = Domino(k, cells)
         for cell in d.cells:
             prev = owner.get(cell)
             if prev is None:
@@ -163,7 +163,7 @@ def rs(w: SignedPerm, lie_type: str) -> TableauPair:
         raise TableauError(str(exc)) from None
     layout: dict[int, Domino] = {}
     recording = [
-        make_domino(step, _insert(layout, owner, value)) for step, value in enumerate(w, start=1)
+        Domino(step, _insert(layout, owner, value)) for step, value in enumerate(w, start=1)
     ]
     left = make_tableau(lie_type, layout.values())
     right = make_tableau(lie_type, recording)

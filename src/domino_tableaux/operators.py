@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 from .cycles import Coloring, move_through_extended
 from .insertion import TableauPair, make_pair
-from .signed_perm import (
-    SignedPerm,
-    apply_generator,
-    inverse,
-    right_descents,
-)
+from .signed_perm import SignedPerm, apply_generator, right_descents
 from .tableau import DominoTableau, TableauError, replace_cells
 
 
@@ -44,15 +39,6 @@ class OperatorUndefinedError(ValueError):
     def __init__(self, report: OperatorDomainReport):
         super().__init__(report.reason)
         self.report = report
-
-
-def tau(w: SignedPerm, side: str = "left") -> frozenset[int]:
-    """Descent-set invariant; the left side is the one attached to varieties."""
-    if side == "left":
-        return right_descents(inverse(w))
-    if side == "right":
-        return right_descents(w)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def equal_length_domain(w: SignedPerm, i: int, j: int) -> OperatorDomainReport:
@@ -105,27 +91,17 @@ def _swap_in_box(tableau: DominoTableau, a: int, b: int) -> DominoTableau:
     if not (len(cells) == 4 and len(rows) == 2 and len(cols) == 2):
         raise RuntimeError(f"dominoes {a} and {b} do not fill a 2x2 box: {sorted(cells)}")
     r0, c0 = min(rows), min(cols)
+    lo, hi = sorted((a, b))
+    # only the smaller label on the left (vertical pair) or on top
+    # (horizontal pair) can be standard
     if da.horizontal:
-        layouts = [
-            {a: ((r0, c0), (r0 + 1, c0)), b: ((r0, c0 + 1), (r0 + 1, c0 + 1))},
-            {a: ((r0, c0 + 1), (r0 + 1, c0 + 1)), b: ((r0, c0), (r0 + 1, c0))},
-        ]
+        layout = {lo: ((r0, c0), (r0 + 1, c0)), hi: ((r0, c0 + 1), (r0 + 1, c0 + 1))}
     else:
-        layouts = [
-            {a: ((r0, c0), (r0, c0 + 1)), b: ((r0 + 1, c0), (r0 + 1, c0 + 1))},
-            {a: ((r0 + 1, c0), (r0 + 1, c0 + 1)), b: ((r0, c0), (r0, c0 + 1))},
-        ]
-    good = []
-    for layout in layouts:
-        try:
-            good.append(replace_cells(tableau, layout, require_contiguous=False))
-        except TableauError:
-            pass  # this layout is not standard
-    if len(good) != 1:
-        raise RuntimeError(
-            f"box transposition of {a},{b} admits {len(good)} standard layouts"
-        )
-    return good[0]
+        layout = {lo: ((r0, c0), (r0, c0 + 1)), hi: ((r0 + 1, c0), (r0 + 1, c0 + 1))}
+    try:
+        return replace_cells(tableau, layout)
+    except TableauError as exc:
+        raise RuntimeError(f"box transposition of {a},{b} is not standard: {exc}") from None
 
 
 def _swap_positions(tableau: DominoTableau, a: int, b: int) -> DominoTableau:

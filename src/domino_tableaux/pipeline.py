@@ -57,10 +57,14 @@ def _wanted_parity(lie_type: str) -> int:
 
 
 def candidate_moves(tableau: DominoTableau) -> list[tuple[Cycle, Partition]]:
-    """Admissible lowering moves: open cycle, row-parity test on hole and
-    corner against the pre-move shape, and strictly smaller shape."""
-    shape = tableau.shape()
-    rows = shape + (0,)  # a corner lies at most one row below the shape
+    """Admissible lowering moves: open down cycle, row-parity test on hole
+    and corner against the pre-move shape.
+
+    The target shape is read off the cycle: the hole's row loses a cell and
+    the corner's row, further down, gains one, so the shape strictly drops
+    in dominance.
+    """
+    rows = tableau.shape() + (0,)  # a corner lies at most one row below the shape
     parity = _wanted_parity(tableau.lie_type)
     out = []
     for coloring in (Coloring.NATIVE, Coloring.TYPE_D):
@@ -71,11 +75,10 @@ def candidate_moves(tableau: DominoTableau) -> list[tuple[Cycle, Partition]]:
                 continue
             if rows[cy.corner[0] - 1] % 2 != parity:
                 continue
-            moved = move_through(tableau, cy)
-            new_shape = moved.shape()
-            if new_shape == shape or not dominates(shape, new_shape):
-                continue  # pragma: no cover - down cycles always lower
-            out.append((cy, new_shape))
+            new_rows = list(rows)
+            new_rows[cy.hole[0] - 1] -= 1
+            new_rows[cy.corner[0] - 1] += 1
+            out.append((cy, tuple(part for part in new_rows if part)))
     return out
 
 

@@ -4,19 +4,27 @@ Cells are (row, column) pairs, 1-based, row 1 at the top.  A type-B tableau
 owns an extra unlabeled core cell at (1,1) that takes part in every shape
 computation; type C has no core.
 
+Both value types are valid by construction.  ``Domino`` sorts its cells
+row-major and rejects anything but two edge-adjacent cells of the quadrant
+under a positive label.  ``DominoTableau`` rejects overlaps (with each other
+and with the core), labels that do not strictly increase, and layouts that
+are not standard, so no layer re-checks a tableau or a domino it is handed.
+
 Standardness is the local rule of ``misplaced_cell``: every labelled cell's
 upper and left neighbours inside the quadrant exist with labels no larger
 than its own, the core counting as 0.  It is the prefix definition (for
 every label k, the core and the dominoes labeled <= k fill a Young diagram)
 read cell by cell, since a cell of label k lies in the k-prefix, and the
-first prefix to fail is that of the smallest misplaced label.  So
-``validate`` is one linear pass, and a relocation needs only the cells it
-touches checked.
+first prefix to fail is that of the smallest misplaced label.  So the
+constructor's check is one linear pass, and a relocation needs only the
+cells it touches checked.
 
-Tableaux are immutable values; "mutating" helpers return new objects.
-Labels are normally 1..m, but helpers that rebuild tableaux mid-algorithm
-may carry a tableau whose label set has gaps (still standard in the prefix
-sense); construction makes that explicit via require_contiguous.
+Tableaux are immutable values; "mutating" helpers return new objects that
+share the unchanged dominoes.  Labels are normally 1..m, which
+``make_tableau`` checks by default; insertion mid-algorithm carries a
+standard tableau whose label set has gaps, and asks for that with
+require_contiguous=False.  A relocation (``replace_cells``) keeps the label
+set, so it has nothing to ask.
 """
 
 from __future__ import annotations
@@ -48,22 +56,22 @@ class Domino:
     label: int
     cells: tuple[Cell, Cell]  # sorted row-major
 
+    def __post_init__(self) -> None:
+        label = self.label
+        cs = tuple(sorted((int(r), int(c)) for r, c in self.cells))
+        if label < 1:
+            raise TableauError(f"domino label must be positive, got {label}")
+        if len(cs) != 2:
+            raise TableauError(f"domino {label} needs exactly two cells, got {cs}")
+        if any(r < 1 or c < 1 for r, c in cs):
+            raise TableauError(f"domino {label} has out-of-quadrant cells {cs}")
+        if not _adjacent(*cs):
+            raise TableauError(f"domino {label} cells {cs} do not share an edge")
+        object.__setattr__(self, "cells", cs)
+
     @property
     def horizontal(self) -> bool:
         return self.cells[0][0] == self.cells[1][0]
-
-
-def make_domino(label: int, cells: Iterable[Cell]) -> Domino:
-    cs = tuple(sorted((int(r), int(c)) for r, c in cells))
-    if label < 1:
-        raise TableauError(f"domino label must be positive, got {label}")
-    if len(cs) != 2:
-        raise TableauError(f"domino {label} needs exactly two cells, got {cs}")
-    if any(r < 1 or c < 1 for r, c in cs):
-        raise TableauError(f"domino {label} has out-of-quadrant cells {cs}")
-    if not _adjacent(*cs):
-        raise TableauError(f"domino {label} cells {cs} do not share an edge")
-    return Domino(label, cs)  # type: ignore[arg-type]
 
 
 def is_young(cells: frozenset[Cell] | set[Cell]) -> bool:
@@ -88,6 +96,30 @@ def shape_of_cells(cells: Iterable[Cell]) -> Partition:
 class DominoTableau:
     lie_type: str
     dominoes: tuple[Domino, ...]  # ascending labels
+
+    def __post_init__(self) -> None:
+        try:
+            owner: dict[Cell, int] = {c: 0 for c in core_cells(self.lie_type)}
+        except ValueError as exc:
+            raise TableauError(str(exc)) from None
+        dominoes = tuple(self.dominoes)
+        for d in dominoes:
+            if not isinstance(d, Domino):
+                raise TableauError(f"tableau entry {d!r} is not a Domino")
+            for c in d.cells:
+                if c in owner:
+                    who = "the core" if owner[c] == 0 else f"domino {owner[c]}"
+                    raise TableauError(f"cell {c} of domino {d.label} overlaps {who}")
+                owner[c] = d.label
+        labels = [d.label for d in dominoes]
+        if labels != sorted(labels) or len(set(labels)) != len(labels):
+            raise TableauError(f"labels not strictly increasing: {labels}")
+        # owner lists the cells in ascending label order, so the first
+        # misplaced cell names the first prefix that is not a Young diagram
+        bad = misplaced_cell(owner.get, owner)
+        if bad is not None:
+            raise TableauError(f"cells up to label {owner[bad]} do not form a Young diagram")
+        object.__setattr__(self, "dominoes", dominoes)
 
     def labels(self) -> tuple[int, ...]:
         return tuple(d.label for d in self.dominoes)
@@ -146,66 +178,28 @@ def misplaced_cell(label_at: Callable[[Cell], int | None], cells: Iterable[Cell]
     return None
 
 
-def _check_layout(tableau: DominoTableau, require_contiguous: bool) -> None:
-    """Everything ``validate`` checks except the shape of each domino."""
-    try:
-        owner: dict[Cell, int] = {c: 0 for c in core_cells(tableau.lie_type)}
-    except ValueError as exc:
-        raise TableauError(str(exc)) from None
-    labels = [d.label for d in tableau.dominoes]
-    for d in tableau.dominoes:
-        for c in d.cells:
-            if c in owner:
-                who = "the core" if owner[c] == 0 else f"domino {owner[c]}"
-                raise TableauError(f"cell {c} of domino {d.label} overlaps {who}")
-            owner[c] = d.label
-    if labels != sorted(labels) or len(set(labels)) != len(labels):
-        raise TableauError(f"labels not strictly increasing: {labels}")
-    if require_contiguous and labels != list(range(1, len(labels) + 1)):
-        raise TableauError(f"labels must be 1..{len(labels)}, got {labels}")
-    # owner lists the cells in ascending label order, so the first misplaced
-    # cell names the first prefix that is not a Young diagram
-    bad = misplaced_cell(owner.get, owner)
-    if bad is not None:
-        raise TableauError(f"cells up to label {owner[bad]} do not form a Young diagram")
-
-
-def validate(tableau: DominoTableau, require_contiguous: bool = True) -> tuple[bool, str]:
-    """Check all invariants in one linear pass; returns (ok, diagnostic)."""
-    try:
-        for d in tableau.dominoes:
-            make_domino(d.label, d.cells)
-        _check_layout(tableau, require_contiguous)
-    except TableauError as exc:
-        return False, str(exc)
-    return True, "ok"
-
-
 def make_tableau(
     lie_type: str,
     dominoes: Iterable[Domino | tuple],
     require_contiguous: bool = True,
 ) -> DominoTableau:
-    ds = []
-    for d in dominoes:
-        label, cells = (d.label, d.cells) if isinstance(d, Domino) else d
-        checked = make_domino(label, cells)
-        # keeping a valid Domino lets rebuilt tableaux share unchanged ones
-        ds.append(d if checked == d else checked)
+    """A tableau from ``Domino``s, kept as they are, and (label, cells)
+    entries, in any order; with ``require_contiguous`` the labels must also
+    be 1..m."""
+    ds = [d if isinstance(d, Domino) else Domino(*d) for d in dominoes]
     ds.sort(key=lambda d: d.label)
     t = DominoTableau(lie_type, tuple(ds))
-    _check_layout(t, require_contiguous)
+    labels = [d.label for d in ds]
+    if require_contiguous and labels != list(range(1, len(labels) + 1)):
+        raise TableauError(f"labels must be 1..{len(labels)}, got {labels}")
     return t
 
 
-def replace_cells(
-    tableau: DominoTableau,
-    moves: Mapping[int, Iterable[Cell]],
-    require_contiguous: bool = True,
-) -> DominoTableau:
-    """New tableau with the given labels relocated."""
-    ds = [(d.label, moves[d.label]) if d.label in moves else d for d in tableau.dominoes]
-    return make_tableau(tableau.lie_type, ds, require_contiguous=require_contiguous)
+def replace_cells(tableau: DominoTableau, moves: Mapping[int, Iterable[Cell]]) -> DominoTableau:
+    """New tableau with the given labels relocated; the other dominoes are
+    shared, and the constructor checks the new layout."""
+    ds = (Domino(d.label, moves[d.label]) if d.label in moves else d for d in tableau.dominoes)
+    return DominoTableau(tableau.lie_type, tuple(ds))
 
 
 def render(tableau: DominoTableau) -> str:
@@ -234,7 +228,7 @@ def to_json_dict(tableau: DominoTableau) -> dict:
     }
 
 
-def from_json_dict(doc: dict, require_contiguous: bool = True) -> DominoTableau:
+def from_json_dict(doc: dict) -> DominoTableau:
     if not isinstance(doc, dict) or not isinstance(doc.get("dominoes"), list) or "type" not in doc:
         raise TableauError(f"malformed tableau document: {doc!r}")
     ds = []
@@ -244,7 +238,7 @@ def from_json_dict(doc: dict, require_contiguous: bool = True) -> DominoTableau:
             ds.append((int(entry["label"]), cells))
         except (KeyError, TypeError, ValueError) as exc:
             raise TableauError(f"malformed domino entry {entry!r}") from exc
-    return make_tableau(doc["type"], ds, require_contiguous=require_contiguous)
+    return make_tableau(doc["type"], ds)
 
 
 def serialize(tableau: DominoTableau) -> str:

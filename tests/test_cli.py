@@ -245,6 +245,27 @@ def test_verify_sample_must_be_positive(capsys, sample):
     assert "positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", [name for name in SUITE_NAMES if name != "pipeline-confluence"])
+@pytest.mark.parametrize("option", [["--sample", "3"], ["--seed", "7"]])
+def test_verify_sample_and_seed_only_for_pipeline_confluence(capsys, suite, option):
+    # these suites do not sample, so either option would silently do nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--type", "C", suite, "--n", "2", *option])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dtab verify")
+    assert f"apply to pipeline-confluence, not {suite}" in err
+
+
+def test_verify_pipeline_confluence_samples(capsys):
+    code, out, _ = run(capsys, "verify", "--type", "C", "pipeline-confluence", "--n", "3")
+    assert code == 0 and json.loads(out)["instances"] == 20
+    for seed in ("7", "8"):
+        argv = ["verify", "--type", "C", "pipeline-confluence", "--n", "3", "--sample", "3"]
+        code, out, _ = run(capsys, *argv, "--seed", seed)
+        assert code == 0 and json.loads(out)["instances"] == 3
+
+
 @pytest.mark.parametrize("label", ["x", "1,x", ""])
 def test_move_label_must_be_integers(capsys, label):
     text = serialize(rs((2, -1), "C").left)

@@ -9,7 +9,6 @@ import pytest
 from domino_tableaux.cycles import (
     Coloring,
     all_cycles,
-    coloring_from_name,
     cycle_of,
     extended_cycle,
     fixed_cell,
@@ -114,10 +113,10 @@ def test_coloring_parities():
     assert is_fixed((1, 2), NATIVE) and is_fixed((2, 1), NATIVE)
     assert not is_fixed((1, 1), NATIVE)
     assert is_fixed((1, 1), TYPE_D) and is_fixed((2, 2), TYPE_D)
-    assert coloring_from_name("native") is NATIVE
-    assert coloring_from_name("typeD") is TYPE_D
+    assert Coloring("native") is NATIVE
+    assert Coloring("typeD") is TYPE_D
     with pytest.raises(ValueError):
-        coloring_from_name("X")
+        Coloring("X")
 
 
 def test_fixed_cell_unique_per_domino():

@@ -17,7 +17,7 @@ from domino_tableaux.enumeration import (
     verify_suite,
 )
 from domino_tableaux.partitions import partitions_of
-from domino_tableaux.tableau import validate
+from domino_tableaux.tableau import make_tableau
 
 
 def test_count_frozen_values():
@@ -81,8 +81,9 @@ def test_all_sdt_matches_count(t):
         assert len(built) == count_sdt(shape, t)
         assert len(set(built)) == len(built)
         for tableau in built:
-            ok, why = validate(tableau)
-            assert ok, why
+            # every check again, from the raw cells
+            raw = [(d.label, d.cells) for d in tableau.dominoes]
+            assert make_tableau(t, raw) == tableau
             assert tableau.shape() == tuple(shape)
 
 
@@ -107,6 +108,13 @@ def test_suites_pass_at_rank_two(name, t):
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         verify_suite("no-such-suite", 2, "C")
+
+
+@pytest.mark.parametrize("name", [name for name in SUITE_NAMES if name != "pipeline-confluence"])
+def test_sample_rejected_by_suites_that_do_not_sample(name):
+    with pytest.raises(ValueError, match="does not sample"):
+        verify_suite(name, 2, "C", sample=3)
+    assert verify_suite("pipeline-confluence", 2, "C", sample=3).instances == 3
 
 
 def test_confluence_sampling_is_deterministic():

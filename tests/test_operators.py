@@ -4,28 +4,31 @@ from domino_tableaux.insertion import make_pair, rs, rs_inverse
 from domino_tableaux.operators import (
     OperatorUndefinedError,
     equal_length_domain,
-    tau,
     type_d_domain,
     unequal_length_domain,
     wall_cross_equal_length,
     wall_cross_type_d,
     wall_cross_unequal_length,
 )
-from domino_tableaux.signed_perm import enumerate_group
-from domino_tableaux.tableau import make_tableau, validate
+from domino_tableaux.signed_perm import enumerate_group, left_descents, right_descents
+from domino_tableaux.tableau import make_tableau
 
 
 def cells(tableau):
     return sorted((d.label, d.cells) for d in tableau.dominoes)
 
 
+def rebuilt(tableau):
+    """The tableau built again from its raw cells, so every check reruns."""
+    return make_tableau(tableau.lie_type, cells(tableau))
+
+
 def test_tau_frozen():
-    assert tau((1, -2), "left") == frozenset({2})
-    assert tau((2, -1), "left") == frozenset({1})
-    assert tau((2, -1), "right") == frozenset({2})
-    assert tau((1, 2, 3)) == frozenset()
-    with pytest.raises(ValueError):
-        tau((1, 2), "middle")
+    # the tau-invariant's two sides; the left one is attached to varieties
+    assert left_descents((1, -2)) == frozenset({2})
+    assert left_descents((2, -1)) == frozenset({1})
+    assert right_descents((2, -1)) == frozenset({2})
+    assert left_descents((1, 2, 3)) == frozenset()
 
 
 def test_equal_length_frozen():
@@ -93,6 +96,48 @@ def test_unequal_length_b_311_case():
     assert out.left is pair.left
     assert cells(out.right) == [(1, ((2, 1), (3, 1))), (2, ((1, 2), (1, 3)))]
     assert out == rs((-2, 1), "B")
+
+
+def _gapped(tableau, above, shift=4):
+    """The tableau with every label above ``above`` raised by ``shift``."""
+    raw = [(d.label + shift * (d.label > above), d.cells) for d in tableau.dominoes]
+    return make_tableau(tableau.lie_type, raw, require_contiguous=False)
+
+
+def _gapped_pair(pair, above):
+    return make_pair(_gapped(pair.left, above), _gapped(pair.right, above))
+
+
+def test_unequal_length_b_311_case_with_gapped_labels():
+    # a relocation keeps the label set, so a gap in it must not matter
+    pair = rs((1, -2, 3), "B")
+    assert unequal_length_domain(pair).case == "(3,1,1)"
+    gapped = _gapped_pair(pair, 2)
+    assert gapped.right.labels() == (1, 2, 7)
+    assert wall_cross_unequal_length(gapped) == _gapped_pair(wall_cross_unequal_length(pair), 2)
+
+
+@pytest.mark.parametrize("t", ["C", "B"])
+def test_operators_commute_with_a_label_gap(t):
+    # every pair of rank <= 4 with a gap of 4 in its labels above the
+    # operator's head (the 2-domino, or the 4-domino for type-d): the image,
+    # or the refusal, is the contiguous pair's, relabelled
+    cases = set()
+    for n in (2, 3, 4):
+        for w in enumerate_group(n):
+            pair = rs(w, t)
+            for domain, apply, above in (
+                (unequal_length_domain, wall_cross_unequal_length, 2),
+                (type_d_domain, wall_cross_type_d, 4),
+            ):
+                gapped = _gapped_pair(pair, above)
+                report = domain(pair)
+                assert domain(gapped) == report
+                if report.defined:
+                    cases.add(report.case)
+                    assert apply(gapped) == _gapped_pair(apply(pair), above)
+    expected = {"(3,1)", "(2,2)", "(4,3,1)"} if t == "C" else {"(3,2)", "(3,1,1)", "(4,2,1)"}
+    assert cases == expected
 
 
 def test_unequal_length_domain_negatives():
@@ -175,7 +220,7 @@ def test_unequal_length_images_are_rs_pairs(t, n):
             continue
         seen += 1
         out = wall_cross_unequal_length(pair)
-        assert validate(out.left)[0] and validate(out.right)[0]
+        assert rebuilt(out.left) == out.left and rebuilt(out.right) == out.right
         assert rs(rs_inverse(out), t) == out
     assert seen > 0
 
@@ -191,6 +236,6 @@ def test_type_d_images_are_rs_pairs():
             continue
         seen += 1
         out = wall_cross_type_d(pair)
-        assert validate(out.left)[0] and validate(out.right)[0]
+        assert rebuilt(out.left) == out.left and rebuilt(out.right) == out.right
         assert rs(rs_inverse(out), t) == out
     assert seen == 3  # two type-C pairs at rank 4, one type-B pair at rank 3

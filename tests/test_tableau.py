@@ -4,38 +4,89 @@ import random
 import pytest
 
 from domino_tableaux.tableau import (
+    Domino,
     DominoTableau,
     TableauError,
     core_cells,
     deserialize,
     from_json_dict,
     is_young,
-    make_domino,
     make_tableau,
     render,
     replace_cells,
     serialize,
     shape_of_cells,
     to_json_dict,
-    validate,
 )
 
 H_PAIR_C = [(1, ((1, 1), (1, 2))), (2, ((2, 1), (2, 2)))]
 
 
-def test_make_domino_validation():
-    d = make_domino(3, [(1, 2), (1, 1)])
+def test_domino_validation():
+    d = Domino(3, [(1, 2), (1, 1)])
     assert d.cells == ((1, 1), (1, 2))
     assert d.horizontal
-    assert not make_domino(1, [(2, 1), (1, 1)]).horizontal
-    with pytest.raises(TableauError):
-        make_domino(1, [(1, 1), (1, 3)])  # not adjacent
-    with pytest.raises(TableauError):
-        make_domino(1, [(1, 1), (2, 2)])  # diagonal
-    with pytest.raises(TableauError):
-        make_domino(0, [(1, 1), (1, 2)])  # label must be positive
-    with pytest.raises(TableauError):
-        make_domino(1, [(0, 1), (1, 1)])  # out of the quadrant
+    assert not Domino(1, [(2, 1), (1, 1)]).horizontal
+    assert Domino(2, [("2", 1.0), [1, 1]]).cells == ((1, 1), (2, 1))
+    assert Domino(2, ((2, 1), (1, 1))) == Domino(2, ((1, 1), (2, 1)))
+
+
+# Each malformed domino and the message the constructor gives: a label
+# that is not positive, a wrong cell count, cells out of the quadrant, and
+# cells that are not adjacent (apart, diagonal, or the same cell).
+BAD_DOMINOES = [
+    ((0, [(1, 1), (1, 2)]), "domino label must be positive, got 0"),
+    ((-3, [(1, 1), (1, 2)]), "domino label must be positive, got -3"),
+    ((1, [(1, 1)]), "domino 1 needs exactly two cells, got ((1, 1),)"),
+    (
+        (2, [(1, 3), (1, 1), (1, 2)]),
+        "domino 2 needs exactly two cells, got ((1, 1), (1, 2), (1, 3))",
+    ),
+    ((1, [(0, 1), (1, 1)]), "domino 1 has out-of-quadrant cells ((0, 1), (1, 1))"),
+    ((4, [(2, 0), (2, 1)]), "domino 4 has out-of-quadrant cells ((2, 0), (2, 1))"),
+    ((1, [(1, 3), (1, 1)]), "domino 1 cells ((1, 1), (1, 3)) do not share an edge"),
+    ((1, [(1, 1), (2, 2)]), "domino 1 cells ((1, 1), (2, 2)) do not share an edge"),
+    ((5, [(2, 2), (2, 2)]), "domino 5 cells ((2, 2), (2, 2)) do not share an edge"),
+]
+
+
+@pytest.mark.parametrize("args, message", BAD_DOMINOES)
+def test_domino_rejects_with_message(args, message):
+    with pytest.raises(TableauError) as exc:
+        Domino(*args)
+    assert str(exc.value) == message
+    # (label, cells) entries of make_tableau go through the same constructor
+    with pytest.raises(TableauError) as exc:
+        make_tableau("C", [args], require_contiguous=False)
+    assert str(exc.value) == message
+
+
+H1, H2, V1 = Domino(1, ((1, 1), (1, 2))), Domino(2, ((2, 1), (2, 2))), Domino(1, ((1, 1), (2, 1)))
+# Each malformed layout and the message the constructor gives.
+BAD_LAYOUTS = [
+    (("A", ()), "unknown group type 'A'; expected 'B' or 'C'"),
+    (("C", (H1, Domino(2, ((1, 2), (1, 3))))), "cell (1, 2) of domino 2 overlaps domino 1"),
+    (("B", (V1,)), "cell (1, 1) of domino 1 overlaps the core"),
+    (("C", (H2, H1)), "labels not strictly increasing: [2, 1]"),
+    (("C", (H1, Domino(1, ((2, 1), (2, 2))))), "labels not strictly increasing: [1, 1]"),
+    (("C", (Domino(1, ((1, 2), (1, 3))),)), "cells up to label 1 do not form a Young diagram"),
+    (("C", (H2,)), "cells up to label 2 do not form a Young diagram"),
+    (("C", (H1, Domino(3, ((1, 4), (1, 5))))), "cells up to label 3 do not form a Young diagram"),
+    (("B", (Domino(1, ((1, 2), (2, 2))),)), "cells up to label 1 do not form a Young diagram"),
+    (("C", (H1, (2, ((2, 1), (2, 2))))), "tableau entry (2, ((2, 1), (2, 2))) is not a Domino"),
+]
+
+
+@pytest.mark.parametrize("args, message", BAD_LAYOUTS)
+def test_tableau_rejects_with_message(args, message):
+    with pytest.raises(TableauError) as exc:
+        DominoTableau(*args)
+    assert str(exc.value) == message
+
+
+def test_tableau_takes_any_iterable_of_dominoes():
+    t = DominoTableau("C", [H1, H2])
+    assert t.dominoes == (H1, H2) and hash(t) == hash(make_tableau("C", H_PAIR_C))
 
 
 def test_core():
@@ -80,11 +131,8 @@ def test_prefix_young_condition():
     # 2 alone in row 2 before 1 fills row 1 past it: prefix of 1 not a diagram
     with pytest.raises(TableauError):
         make_tableau("C", [(1, ((1, 2), (1, 3))), (2, ((1, 1), (2, 1)))])
-    ok, why = validate(
-        DominoTableau("C", (make_domino(1, ((1, 2), (1, 3))),)),
-        require_contiguous=False,
-    )
-    assert not ok and "1" in why
+    with pytest.raises(TableauError, match="^cells up to label 1 do not form"):
+        DominoTableau("C", (Domino(1, ((1, 2), (1, 3))),))
 
 
 def test_validate_is_prefix_shape_chain():
@@ -103,11 +151,13 @@ def test_validate_is_prefix_shape_chain():
                 assert all(b[i] >= a[i] for i in range(len(a)))
 
 
-def _first_bad_prefix(tab):
+def _first_bad_prefix(lie_type, dominoes):
     """Prefix oracle: the first label k whose prefix (core plus labels <= k)
     is not a Young diagram, or None when every prefix is one."""
-    for d in tab.dominoes:
-        if not is_young(tab.prefix_cells(d.label)):
+    for d in dominoes:
+        prefix = set(core_cells(lie_type))
+        prefix.update(c for e in dominoes if e.label <= d.label for c in e.cells)
+        if not is_young(prefix):
             return d.label
     return None
 
@@ -125,44 +175,46 @@ def _random_layout(rng, lie_type):
             cells.append(pair)
     rng.shuffle(cells)
     labels = sorted(rng.sample(range(1, 9), len(cells)))
-    return DominoTableau(
-        lie_type, tuple(make_domino(k, cs) for k, cs in zip(labels, cells))
-    )
+    return lie_type, tuple(Domino(k, cs) for k, cs in zip(labels, cells))
 
 
 def test_local_rule_matches_prefix_oracle():
-    # validate applies the local up/left-neighbour rule in one pass; it must
-    # accept and reject exactly what the prefix definition does, and name
-    # the first prefix that fails
+    # the constructor applies the local up/left-neighbour rule in one pass;
+    # it must accept and reject exactly what the prefix definition does, and
+    # name the first prefix that fails
     from domino_tableaux.enumeration import all_sdt
     from domino_tableaux.partitions import partitions_of
 
-    def check(tab):
-        ok, why = validate(tab, require_contiguous=False)
-        bad = _first_bad_prefix(tab)
-        assert ok == (bad is None), (tab, why)
+    def check(lie_type, dominoes):
+        try:
+            DominoTableau(lie_type, dominoes)
+            why = None
+        except TableauError as exc:
+            why = str(exc)
+        bad = _first_bad_prefix(lie_type, dominoes)
+        assert (why is None) == (bad is None), (lie_type, dominoes, why)
         if bad is not None:
             assert why == f"cells up to label {bad} do not form a Young diagram"
-        return ok
+        return why is None
 
     standard = []
     for t, core in (("C", 0), ("B", 1)):
         for n in range(5):
             for shape in partitions_of(2 * n + core):
                 standard.extend(all_sdt(shape, t))
-    assert len(standard) == 210 and all(check(tab) for tab in standard)
+    assert len(standard) == 210 and all(check(tab.lie_type, tab.dominoes) for tab in standard)
     rng = random.Random(20240611)
-    verdicts = [check(_random_layout(rng, rng.choice("BC"))) for _ in range(3000)]
+    verdicts = [check(*_random_layout(rng, rng.choice("BC"))) for _ in range(3000)]
     # relabelled standard tableaux reach the subtler rejections: the cells
     # fill a Young diagram but the label order is wrong
     for tab in standard * 4:
         labels = sorted(rng.sample(range(1, 12), len(tab.dominoes)))
         rng.shuffle(labels)
         relabelled = sorted(
-            (make_domino(k, d.cells) for k, d in zip(labels, tab.dominoes)),
+            (Domino(k, d.cells) for k, d in zip(labels, tab.dominoes)),
             key=lambda d: d.label,
         )
-        verdicts.append(check(DominoTableau(tab.lie_type, tuple(relabelled))))
+        verdicts.append(check(tab.lie_type, tuple(relabelled)))
     assert verdicts.count(True) > 150 and verdicts.count(False) > 1500
 
 
@@ -170,7 +222,35 @@ def test_replace_cells():
     t = make_tableau("C", H_PAIR_C)
     moved = replace_cells(t, {2: ((2, 1), (3, 1))})
     assert moved.shape() == (2, 1, 1)
-    assert moved.domino(1) == t.domino(1)
+    assert moved.domino(1) is t.domino(1)
+    with pytest.raises(TableauError, match="^cells up to label 2 do not form"):
+        replace_cells(t, {2: ((2, 2), (2, 3))})
+    with pytest.raises(TableauError, match="^cell \\(1, 2\\) of domino 2 overlaps domino 1$"):
+        replace_cells(t, {2: ((1, 2), (2, 2))})
+
+
+def test_replace_cells_keeps_gapped_labels():
+    # a relocation cannot change the label set, so gaps in it are fine
+    t = make_tableau("B", [(2, ((1, 2), (1, 3))), (7, ((2, 1), (3, 1)))], require_contiguous=False)
+    moved = replace_cells(t, {7: ((2, 1), (2, 2))})
+    assert moved.labels() == (2, 7) and moved.shape() == (3, 2)
+    assert moved.domino(2) is t.domino(2)
+
+
+def test_no_check_reruns_on_a_domino(monkeypatch):
+    # a Domino is valid once built: make_tableau keeps the Dominoes it is
+    # given and replace_cells builds only the relocated ones
+    built = []
+    check = Domino.__post_init__
+    monkeypatch.setattr(Domino, "__post_init__", lambda d: built.append(d.label) or check(d))
+    ds = [Domino(2, ((2, 1), (2, 2))), Domino(1, ((1, 1), (1, 2)))]
+    del built[:]
+    t = make_tableau("C", ds)
+    assert built == [] and t.dominoes[0] is ds[1] and t.dominoes[1] is ds[0]
+    moved = replace_cells(t, {2: ((2, 1), (3, 1))})
+    assert built == [2] and moved.dominoes[0] is ds[1]
+    make_tableau("C", [(1, ((1, 1), (1, 2)))])
+    assert built == [2, 1]
 
 
 def test_render():
