@@ -127,23 +127,24 @@ def unequal_length_domain(pair: TableauPair) -> OperatorDomainReport:
 def wall_cross_unequal_length(pair: TableauPair) -> TableauPair:
     """Cross the wall between the sign-change root and its swap neighbor.
 
-    On the flat two-domino head shapes the right tableau's 1- and 2-dominoes
-    are rearranged directly; on the others an extended cycle move of the
-    2-domino under the native coloring happens first.
+    On the flat two-domino head shapes the right tableau's first and second
+    dominoes are rearranged directly; on the others an extended cycle move
+    of the second domino under the native coloring happens first.
     """
     report = unequal_length_domain(pair)
     if not report.defined:
         raise OperatorUndefinedError(report)
+    first, second = pair.right.dominoes[0].label, pair.right.dominoes[1].label
     if pair.right.lie_type == "C":
         if report.case == "(3,1)":
-            moved = move_through_extended(pair, 2, Coloring.NATIVE)
-            return make_pair(moved.left, _swap_in_box(moved.right, 1, 2))
+            moved = move_through_extended(pair, second, Coloring.NATIVE)
+            return make_pair(moved.left, _swap_in_box(moved.right, first, second))
         # (2,2): the left tableau is untouched, object identity preserved
-        return make_pair(pair.left, _swap_in_box(pair.right, 1, 2))
+        return make_pair(pair.left, _swap_in_box(pair.right, first, second))
     if report.case == "(3,2)":
-        moved = move_through_extended(pair, 2, Coloring.NATIVE)
-        return make_pair(moved.left, _swap_positions(moved.right, 1, 2))
-    return make_pair(pair.left, _swap_positions(pair.right, 1, 2))
+        moved = move_through_extended(pair, second, Coloring.NATIVE)
+        return make_pair(moved.left, _swap_positions(moved.right, first, second))
+    return make_pair(pair.left, _swap_positions(pair.right, first, second))
 
 
 def type_d_domain(pair: TableauPair) -> OperatorDomainReport:
@@ -156,7 +157,7 @@ def type_d_domain(pair: TableauPair) -> OperatorDomainReport:
             return OperatorDomainReport(
                 False, None, f"first four dominoes fill {head}, not (4,3,1)"
             )
-        if right.domino(2).horizontal:
+        if right.dominoes[1].horizontal:
             return OperatorDomainReport(
                 False, None, "2-domino must be vertical in column 1"
             )
@@ -177,8 +178,7 @@ def wall_cross_type_d(pair: TableauPair) -> TableauPair:
     report = type_d_domain(pair)
     if not report.defined:
         raise OperatorUndefinedError(report)
-    if pair.right.lie_type == "C":
-        moved = move_through_extended(pair, 4, Coloring.TYPE_D)
-        return make_pair(moved.left, _swap_in_box(moved.right, 2, 4))
-    moved = move_through_extended(pair, 3, Coloring.TYPE_D)
-    return make_pair(moved.left, _swap_in_box(moved.right, 2, 3))
+    second = pair.right.dominoes[1].label
+    last = pair.right.dominoes[3 if pair.right.lie_type == "C" else 2].label
+    moved = move_through_extended(pair, last, Coloring.TYPE_D)
+    return make_pair(moved.left, _swap_in_box(moved.right, second, last))

@@ -11,16 +11,21 @@ the admissible moves, which keeps traces reproducible.  That the move order
 does not affect the result is verified through rank 4 only; at rank 5 some
 tableaux reach two different terminal tableaux.
 
-The special-shape projection instead walks open native-coloring cycles in
-either direction from the recording tableau until the shape is special, and
-checks that exactly one special tableau is reachable.
+The special-shape projection is one simultaneous move through every open
+native-coloring cycle that is unboxed (type C) or boxed (type B); these are
+the open native cycles whose hole and corner lie in rows of the annealing
+parity.  The tests keep the walk through open native cycles, in either
+direction, as its oracle: on every standard tableau of rank <= 6 in both
+types, and on a seeded sample of ranks 8-64, the walk reaches exactly one
+special tableau, and it is this move's image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cycles import Coloring, Cycle, all_cycles, move_through
+from .cycles import Coloring, Cycle, all_cycles, move_through, move_through_set
+from .insertion import rs
 from .partitions import (
     Partition,
     dominates,
@@ -131,42 +136,24 @@ def orbital_tableau(tableau: DominoTableau) -> OrbitalResult:
 
 
 def orbit_of(w: SignedPerm, lie_type: str) -> Partition:
-    from .insertion import rs
-
     return orbital_tableau(rs(w, lie_type).left).orbit
 
 
-def _special_reachable(tableau: DominoTableau) -> set[DominoTableau]:
-    """Special-shape tableaux reachable through open native cycles (both
-    directions), not walking past the first special shape found.
-
-    An open move is an involution, so without the visited set the walk
-    would go back and forth through the same cycle.
-    """
-    found: set[DominoTableau] = set()
-    seen = {tableau}
-    todo = [tableau]
-    while todo:
-        current = todo.pop()
-        if is_special(current.shape(), current.lie_type):
-            found.add(current)
-            continue
-        for cy in all_cycles(current, Coloring.NATIVE):
-            if cy.open:
-                moved = move_through(current, cy)
-                if moved not in seen:
-                    seen.add(moved)
-                    todo.append(moved)
-    return found
-
-
 def special_projection(tableau: DominoTableau) -> DominoTableau:
-    """The unique special-shape tableau reachable via open native cycles."""
-    if is_special(tableau.shape(), tableau.lie_type):
-        return tableau
-    found = _special_reachable(tableau)
-    if len(found) != 1:
-        raise RuntimeError(
-            f"special projection not unique: reached {len(found)} tableaux"
-        )
-    return next(iter(found))
+    """The special-shape tableau reachable through open native cycles: one
+    simultaneous move through every open native cycle that is unboxed
+    (type C) or boxed (type B).
+
+    A tableau of special shape has no such cycle and comes back as the same
+    object.  The tests' walk oracle reaches this image and no other special
+    tableau on every standard tableau of rank <= 6.  A non-special image
+    raises RuntimeError.
+    """
+    boxed = tableau.lie_type == "B"
+    projected = move_through_set(
+        tableau,
+        [cy for cy in all_cycles(tableau, Coloring.NATIVE) if cy.open and cy.boxed == boxed],
+    )
+    if not is_special(projected.shape(), projected.lie_type):
+        raise RuntimeError(f"special projection reached non-special shape {projected.shape()}")
+    return projected

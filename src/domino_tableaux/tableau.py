@@ -130,9 +130,6 @@ class DominoTableau:
                 return d
         raise KeyError(f"no domino labeled {label}")
 
-    def has_label(self, label: int) -> bool:
-        return any(d.label == label for d in self.dominoes)
-
     def cells(self) -> frozenset[Cell]:
         out = set(core_cells(self.lie_type))
         for d in self.dominoes:
@@ -147,19 +144,15 @@ class DominoTableau:
                 out[c] = d.label
         return out
 
-    def prefix_cells(self, label_bound: int) -> set[Cell]:
-        """Core plus all cells of dominoes labeled <= label_bound."""
-        out = set(core_cells(self.lie_type))
-        for d in self.dominoes:
-            if d.label <= label_bound:
-                out.update(d.cells)
-        return out
-
     def shape(self) -> Partition:
         return shape_of_cells(self.cells())
 
-    def sub_shape(self, label_bound: int) -> Partition:
-        return shape_of_cells(self.prefix_cells(label_bound))
+    def sub_shape(self, k: int) -> Partition:
+        """Shape of the core plus the first k dominoes, whatever their labels."""
+        cells = list(core_cells(self.lie_type))
+        for d in self.dominoes[:k]:
+            cells.extend(d.cells)
+        return shape_of_cells(cells)
 
 
 def misplaced_cell(label_at: Callable[[Cell], int | None], cells: Iterable[Cell]) -> Cell | None:

@@ -27,6 +27,7 @@ from domino_tableaux.partitions import (
 )
 from domino_tableaux.pipeline import orbital_tableau, special_projection
 from domino_tableaux.signed_perm import enumerate_group, inverse
+from test_pipeline import special_reachable
 
 TYPES = ("C", "B")
 
@@ -209,7 +210,8 @@ def test_criterion_10_special_projection():
             for shape in partitions_of(_cells(t, n)):
                 for tab in all_sdt(shape, t):
                     checked += 1
-                    projected = special_projection(tab)  # raises if not unique
+                    projected = special_projection(tab)
+                    ok = ok and special_reachable(tab) == {projected}
                     ok = ok and is_special(projected.shape(), t)
                     if is_special(tab.shape(), t):
                         ok = ok and projected is tab
@@ -218,5 +220,6 @@ def test_criterion_10_special_projection():
         10,
         "special-projection",
         ok,
-        f"every tableau of rank <= 6, {checked} tableaux, unique and idempotent",
+        f"every tableau of rank <= 6, {checked} tableaux, the walk's unique "
+        "special tableau, idempotent",
     )

@@ -207,7 +207,7 @@ def oracle_insert_letter(tableau: DominoTableau, value: int) -> DominoTableau:
     label = abs(value)
     if label == 0:
         raise TableauError("cannot insert 0")
-    if tableau.has_label(label):
+    if label in tableau.labels():
         raise TableauError(f"label {label} already present")
     smaller = [d for d in tableau.dominoes if d.label < label]
     larger = [d for d in tableau.dominoes if d.label > label]

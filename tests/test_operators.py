@@ -119,23 +119,27 @@ def test_unequal_length_b_311_case_with_gapped_labels():
 
 @pytest.mark.parametrize("t", ["C", "B"])
 def test_operators_commute_with_a_label_gap(t):
-    # every pair of rank <= 4 with a gap of 4 in its labels above the
-    # operator's head (the 2-domino, or the 4-domino for type-d): the image,
-    # or the refusal, is the contiguous pair's, relabelled
+    # every pair of rank <= 4 with a gap of 4 in its labels above each
+    # label position, inside the operator's head too: the operators read
+    # their head by rank, so the image, or the refusal, is the contiguous
+    # pair's, relabelled
     cases = set()
     for n in (2, 3, 4):
         for w in enumerate_group(n):
             pair = rs(w, t)
-            for domain, apply, above in (
-                (unequal_length_domain, wall_cross_unequal_length, 2),
-                (type_d_domain, wall_cross_type_d, 4),
+            for domain, apply in (
+                (unequal_length_domain, wall_cross_unequal_length),
+                (type_d_domain, wall_cross_type_d),
             ):
-                gapped = _gapped_pair(pair, above)
                 report = domain(pair)
-                assert domain(gapped) == report
                 if report.defined:
                     cases.add(report.case)
-                    assert apply(gapped) == _gapped_pair(apply(pair), above)
+                    image = apply(pair)
+                for above in range(n):
+                    gapped = _gapped_pair(pair, above)
+                    assert domain(gapped) == report
+                    if report.defined:
+                        assert apply(gapped) == _gapped_pair(image, above)
     expected = {"(3,1)", "(2,2)", "(4,3,1)"} if t == "C" else {"(3,2)", "(3,1,1)", "(4,2,1)"}
     assert cases == expected
 

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domino_tableaux.cycles import Coloring
+from domino_tableaux.cycles import Coloring, all_cycles, move_through
 from domino_tableaux.insertion import rs
 from domino_tableaux.partitions import (
     dominates,
@@ -22,6 +24,32 @@ from domino_tableaux.tableau import make_tableau
 
 def cells(tableau):
     return sorted((d.label, d.cells) for d in tableau.dominoes)
+
+
+def special_reachable(tableau):
+    """Oracle for ``special_projection``: the special-shape tableaux
+    reachable through open native cycles (both directions), not walking
+    past the first special shape found.
+
+    An open move is an involution, so without the visited set the walk
+    would go back and forth through the same cycle.  It visits up to 2^k
+    tableaux for k open cycles.
+    """
+    found = set()
+    seen = {tableau}
+    todo = [tableau]
+    while todo:
+        current = todo.pop()
+        if is_special(current.shape(), current.lie_type):
+            found.add(current)
+            continue
+        for cy in all_cycles(current, Coloring.NATIVE):
+            if cy.open:
+                moved = move_through(current, cy)
+                if moved not in seen:
+                    seen.add(moved)
+                    todo.append(moved)
+    return found
 
 
 def test_fixed_point_has_empty_trace():
@@ -167,3 +195,29 @@ def test_special_projection_properties(t, n):
             assert projected is right
         # projecting again does nothing
         assert special_projection(projected) is projected
+
+
+@pytest.mark.parametrize("t", ["C", "B"])
+def test_special_projection_matches_the_walk_on_random_words(t):
+    # Left and right tableaux of seeded random words at ranks 8-64: the walk
+    # reaches exactly one special tableau, which is the projection, and the
+    # cycles the projection moves through (open native, unboxed in C and
+    # boxed in B) are the open native cycles whose hole and corner lie in
+    # rows of the annealing parity.
+    rng = random.Random(112358)
+    parity = 1 if t == "C" else 0
+    for n in (8, 16, 32, 64):
+        for _ in range(3):
+            perm = rng.sample(range(1, n + 1), n)
+            pair = rs(tuple(v if rng.random() < 0.5 else -v for v in perm), t)
+            for tab in (pair.left, pair.right):
+                assert special_reachable(tab) == {special_projection(tab)}
+                rows = tab.shape() + (0,)
+                open_cycles = [cy for cy in all_cycles(tab, Coloring.NATIVE) if cy.open]
+                selected = [cy for cy in open_cycles if cy.boxed == (t == "B")]
+                in_parity = [
+                    cy
+                    for cy in open_cycles
+                    if rows[cy.hole[0] - 1] % 2 == parity == rows[cy.corner[0] - 1] % 2
+                ]
+                assert selected == in_parity
