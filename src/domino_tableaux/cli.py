@@ -22,7 +22,7 @@ from .cycles import (
     move_through_extended,
     move_through_set,
 )
-from .enumeration import DEFAULT_SEED, SUITE_NAMES, count_sdt, verify_suite
+from .enumeration import SUITE_NAMES, count_sdt, verify_suite
 from .insertion import (
     pair_deserialize,
     pair_to_json_dict,
@@ -31,9 +31,6 @@ from .insertion import (
 )
 from .operators import (
     OperatorUndefinedError,
-    equal_length_domain,
-    type_d_domain,
-    unequal_length_domain,
     wall_cross_equal_length,
     wall_cross_type_d,
     wall_cross_unequal_length,
@@ -43,7 +40,12 @@ from .pipeline import orbital_tableau, special_projection
 from .signed_perm import format_perm, parse_perm
 from .tableau import deserialize, render, to_json_dict
 
-OPERATOR_NAMES = ("equal-length", "unequal-length", "type-d")
+# equal-length acts on the group element, the others on the pair
+_PAIR_OPERATORS = {
+    "unequal-length": wall_cross_unequal_length,
+    "type-d": wall_cross_type_d,
+}
+OPERATOR_NAMES = ("equal-length", *_PAIR_OPERATORS)
 
 
 class UsageError(Exception):
@@ -179,23 +181,10 @@ def _cmd_op(args) -> int:
     if args.name == "equal-length":
         if args.i is None or args.j is None:
             raise UsageError("equal-length needs --i and --j")
-        w = rs_inverse(pair)
-        report = equal_length_domain(w, args.i, args.j)
-        if not report.defined:
-            _emit(args, report.to_json_dict(), f"undefined: {report.reason}")
-            return 1
-        image = wall_cross_equal_length(w, args.i, args.j)
+        image = wall_cross_equal_length(rs_inverse(pair), args.i, args.j)
         out = rs(image, pair.left.lie_type)
     else:
-        domain, apply = {
-            "unequal-length": (unequal_length_domain, wall_cross_unequal_length),
-            "type-d": (type_d_domain, wall_cross_type_d),
-        }[args.name]
-        report = domain(pair)
-        if not report.defined:
-            _emit(args, report.to_json_dict(), f"undefined: {report.reason}")
-            return 1
-        out = apply(pair)
+        out = _PAIR_OPERATORS[args.name](pair)
     _emit(args, pair_to_json_dict(out), _pair_ascii(out))
     return 0
 
@@ -212,10 +201,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite != "pipeline-confluence" and (args.seed, args.sample) != (None, None):
-        raise UsageError(f"--seed and --sample apply to pipeline-confluence, not {args.suite}")
-    seed = DEFAULT_SEED if args.seed is None else args.seed
-    report = verify_suite(args.suite, args.n, args.type, seed=seed, sample=args.sample)
+    report = verify_suite(args.suite, args.n, args.type)
     text = "{}: {} ({} instances, {} failures)".format(
         report.suite,
         "pass" if report.passed else "FAIL",
@@ -311,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, help=f"pipeline-confluence only (default {DEFAULT_SEED})")
-    p.add_argument("--sample", type=_positive_int, help="pipeline-confluence only")
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -326,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         args.parser.error(str(exc))
     except OperatorUndefinedError as exc:
-        print(json.dumps(exc.report.to_json_dict(), sort_keys=True))
+        _emit(args, exc.report.to_json_dict(), f"undefined: {exc.report.reason}")
         return 1
     except (ValueError, KeyError, RuntimeError) as exc:
         # str() of a KeyError is the repr of its argument; print the message

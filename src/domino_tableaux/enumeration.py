@@ -9,7 +9,6 @@ oracle for the other modules.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 
 from .cycles import Coloring, all_cycles, cycle_of, move_through
@@ -40,8 +39,6 @@ from .signed_perm import (
     inverse,
 )
 from .tableau import DominoTableau, make_tableau, serialize
-
-DEFAULT_SEED = 112358
 
 # ---------------------------------------------------------------------------
 # standard domino tableaux by backtracking over shape chains
@@ -198,11 +195,17 @@ def _suite_inverse_transpose(n, lie_type, report):
 
 
 def _left_tableaux(n, lie_type):
-    return {rs(w, lie_type).left for w in enumerate_group(n)}
+    """The left tableaux of the rank-n group, in serialized order.  Since rs
+    is a bijection onto same-shape pairs, they are every standard tableau of
+    the rank."""
+    return sorted(
+        (tab for shape in _group_shapes(n, lie_type) for tab in all_sdt(shape, lie_type)),
+        key=serialize,
+    )
 
 
 def _suite_cycle_involution(n, lie_type, report):
-    for tab in sorted(_left_tableaux(n, lie_type), key=lambda t: serialize(t)):
+    for tab in _left_tableaux(n, lie_type):
         for coloring in Coloring:
             cycles = all_cycles(tab, coloring)
             seen: set[int] = set()
@@ -274,12 +277,9 @@ def _terminals(
     return memo[tab]
 
 
-def _suite_pipeline_confluence(n, lie_type, report, seed=DEFAULT_SEED, sample=None):
-    tableaux = sorted(_left_tableaux(n, lie_type), key=lambda t: serialize(t))
-    if sample is not None and len(tableaux) > sample:
-        tableaux = random.Random(seed).sample(tableaux, sample)
+def _suite_pipeline_confluence(n, lie_type, report):
     memo: dict[DominoTableau, frozenset[DominoTableau]] = {}
-    for tab in tableaux:
+    for tab in _left_tableaux(n, lie_type):
         report["instances"] += 1
         ends = _terminals(tab, memo)
         if len(ends) != 1:
@@ -294,7 +294,8 @@ def _suite_pipeline_confluence(n, lie_type, report, seed=DEFAULT_SEED, sample=No
 
 def _suite_operator_cell_compat(n, lie_type, report):
     for w in enumerate_group(n):
-        target = orbital_tableau(rs(w, lie_type).left).tableau
+        pair = rs(w, lie_type)
+        target = orbital_tableau(pair.left).tableau
         for i in range(2, n):
             if equal_length_domain(w, i, i + 1).defined:
                 report["instances"] += 1
@@ -305,7 +306,6 @@ def _suite_operator_cell_compat(n, lie_type, report):
                         f"equal-length({i},{i + 1}) moved w={format_perm(w)} "
                         "off its annealed tableau"
                     )
-        pair = rs(w, lie_type)
         for name, domain, apply in (
             ("unequal-length", unequal_length_domain, wall_cross_unequal_length),
             ("type-d", type_d_domain, wall_cross_type_d),
@@ -360,30 +360,15 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def verify_suite(
-    name: str,
-    n: int,
-    lie_type: str,
-    seed: int = DEFAULT_SEED,
-    sample: int | None = None,
-) -> VerificationReport:
-    """Run one named exhaustive check and report instances and failures.
-
-    Only pipeline-confluence samples: ``sample`` draws that many of its
-    tableaux with ``seed``; any other suite rejects ``sample``.
-    """
+def verify_suite(name: str, n: int, lie_type: str) -> VerificationReport:
+    """Run one named exhaustive check and report instances and failures."""
     check_group_type(lie_type)
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if n < 1:
         raise ValueError("n must be at least 1")
     state = {"instances": 0, "failures": []}
-    if name == "pipeline-confluence":
-        _SUITES[name](n, lie_type, state, seed=seed, sample=sample)
-    elif sample is not None:
-        raise ValueError(f"suite {name!r} does not sample; only pipeline-confluence does")
-    else:
-        _SUITES[name](n, lie_type, state)
+    _SUITES[name](n, lie_type, state)
     return VerificationReport(
         suite=name,
         lie_type=lie_type,

@@ -159,7 +159,7 @@ def type_d_domain(pair: TableauPair) -> OperatorDomainReport:
             )
         if right.dominoes[1].horizontal:
             return OperatorDomainReport(
-                False, None, "2-domino must be vertical in column 1"
+                False, None, "second domino must be vertical in column 1"
             )
         return OperatorDomainReport(True, "(4,3,1)", "ok")
     if len(right.dominoes) < 3:

@@ -16,7 +16,7 @@ native-coloring cycle that is unboxed (type C) or boxed (type B); these are
 the open native cycles whose hole and corner lie in rows of the annealing
 parity.  The tests keep the walk through open native cycles, in either
 direction, as its oracle: on every standard tableau of rank <= 6 in both
-types, and on a seeded sample of ranks 8-64, the walk reaches exactly one
+types, and on seeded random words of ranks 8-64, the walk reaches exactly one
 special tableau, and it is this move's image.
 """
 

@@ -43,8 +43,11 @@ def _cells(lie_type, n):
     return 2 * n + (1 if lie_type == "B" else 0)
 
 
-def _left_tableaux(n, lie_type):
-    return {rs(w, lie_type).left for w in enumerate_group(n)}
+def _standard_tableaux(n, lie_type):
+    # the left tableaux of the rank-n group, since rs is a bijection onto
+    # same-shape pairs (tests/test_enumeration.py checks this at rank <= 5)
+    shapes = partitions_of(_cells(lie_type, n))
+    return [tab for shape in shapes for tab in all_sdt(shape, lie_type)]
 
 
 def test_criterion_01_rs_bijection():
@@ -97,8 +100,8 @@ def test_criterion_04_inverse_transpose():
 def test_criterion_05_cycle_algebra():
     ok = True
     for t in TYPES:
-        for n in range(1, 4):
-            for tab in _left_tableaux(n, t):
+        for n in range(1, 6):
+            for tab in _standard_tableaux(n, t):
                 labels = set(tab.labels())
                 for coloring in Coloring:
                     cycles = all_cycles(tab, coloring)
@@ -116,7 +119,7 @@ def test_criterion_05_cycle_algebra():
                             ok = ok and new - old == {cy.corner}
                         else:
                             ok = ok and moved.shape() == tab.shape()
-    _gate(5, "cycle-algebra", ok, "n <= 3, both colorings")
+    _gate(5, "cycle-algebra", ok, "n <= 5, both colorings")
 
 
 def test_criterion_06_pipeline_soundness():
@@ -148,13 +151,12 @@ def test_criterion_07_confluence():
 
     ok = True
     instances = 0
-    # n = 4 is covered whole (768 tableaux-with-multiplicity across the two
-    # types), which subsumes the 500-element randomized floor; the sampling
-    # path stays available through verify_suite(seed=..., sample=...).
+    # every standard tableau of rank <= 4, which subsumes the 500-element
+    # randomized floor; rank 5 is the known non-confluent case (ROADMAP)
     for t in TYPES:
         memo = {}
         for n in range(1, 5):
-            for tab in _left_tableaux(n, t):
+            for tab in _standard_tableaux(n, t):
                 instances += 1
                 terminals = _terminals(tab, memo)
                 ok = ok and len(terminals) == 1
