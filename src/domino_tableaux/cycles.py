@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .insertion import TableauPair, make_pair
+from .insertion import TableauPair
 from .tableau import Cell, Domino, DominoTableau, TableauError, misplaced_cell, replace_cells
 
 
@@ -242,23 +242,24 @@ def move_through_set(tableau: DominoTableau, cycles: Iterable[Cycle]) -> DominoT
     return replace_cells(tableau, moves)
 
 
-def _boundary(cycles: Iterable[Cycle]) -> tuple[set[Cell], set[Cell]]:
-    holes = {cy.hole for cy in cycles if cy.open}
-    corners = {cy.corner for cy in cycles if cy.open}
-    return holes, corners  # type: ignore[return-value]
+def _open_by_square(cycles: Iterable[Cycle]) -> dict[Cell, Cycle]:
+    """Each hole and corner of the open cycles, with its cycle."""
+    index: dict[Cell, Cycle] = {}
+    for cy in cycles:
+        if cy.open:
+            for square in (cy.hole, cy.corner):
+                if square in index:
+                    raise TableauError(
+                        f"extended cycle closure ambiguous at square {square}: "
+                        f"open cycles {index[square].labels} and {cy.labels}"
+                    )
+                index[square] = cy
+    return index
 
 
-def _cycle_at_square(
-    cycles: tuple[Cycle, ...], square: Cell, taken: list[Cycle]
-) -> Cycle | None:
-    got = [
-        cy for cy in cycles if cy.open and square in (cy.hole, cy.corner) and cy not in taken
-    ]
-    if len(got) > 1:
-        raise TableauError(
-            f"extended cycle closure ambiguous at square {square}: {len(got)} matches"
-        )
-    return got[0] if got else None
+def _ends(cycle: Cycle) -> set[tuple[Cell, bool]]:
+    """The cycle's hole and corner, each marked by whether it is the corner."""
+    return {(cycle.hole, False), (cycle.corner, True)}  # type: ignore[arg-type]
 
 
 def extended_cycle(
@@ -267,47 +268,34 @@ def extended_cycle(
     """Smallest shape-balanced closure of the right tableau's cycle of label.
 
     Returns (cycles of the right tableau, cycles of the left tableau); each
-    side's simultaneous move produces the same shape on both sides.  When no
-    balanced closure exists -- some hole or corner square of one side cannot
-    be matched by any open cycle of the other -- both sides come back empty
-    and the induced move is the identity: on such a pair every choice other
-    than moving nothing would leave the two shapes unequal.
+    side's simultaneous move produces the same shape on both sides.  While a
+    hole or corner of one side is missing from the other, the other side's
+    open cycle at the smallest such square joins, the left side first.  When
+    no untaken cycle sits there, no balanced closure exists: both sides come
+    back empty and the induced move is the identity, since on such a pair
+    every choice other than moving nothing would leave the two shapes
+    unequal.
     """
     right_all = all_cycles(pair.right, coloring)
     seed = _cycle_with(right_all, label)
-    right_cycles = [seed]
-    left_cycles: list[Cycle] = []
     if not seed.open:
-        return tuple(right_cycles), ()
-    left_all = all_cycles(pair.left, coloring)
-    for _ in range(2 * len(pair.right.dominoes) + 2):
-        rholes, rcorners = _boundary(right_cycles)
-        lholes, lcorners = _boundary(left_cycles)
-        missing_left = (rholes - lholes) | (rcorners - lcorners)
-        missing_right = (lholes - rholes) | (lcorners - rcorners)
-        if not missing_left and not missing_right:
-            return tuple(right_cycles), tuple(left_cycles)
-        if missing_left:
-            square = min(missing_left)
-            found = _cycle_at_square(left_all, square, left_cycles)
-            if found is None:
-                return (), ()
-            left_cycles.append(found)
-        else:
-            square = min(missing_right)
-            found = _cycle_at_square(right_all, square, right_cycles)
-            if found is None:
-                return (), ()
-            right_cycles.append(found)
-    raise TableauError("extended cycle closure did not stabilize")  # pragma: no cover
+        return (seed,), ()
+    index = (_open_by_square(right_all), _open_by_square(all_cycles(pair.left, coloring)))
+    taken: tuple[list[Cycle], list[Cycle]] = ([seed], [])
+    ends = (_ends(seed), set())
+    while ends[0] != ends[1]:
+        side = 1 if ends[0] - ends[1] else 0
+        square, _ = min(ends[1 - side] - ends[side])
+        partner = index[side].get(square)
+        if partner is None or partner in taken[side]:
+            return (), ()
+        taken[side].append(partner)
+        ends[side].update(_ends(partner))
+    return tuple(taken[0]), tuple(taken[1])
 
 
 def move_through_extended(pair: TableauPair, label: int, coloring: Coloring) -> TableauPair:
     right_cycles, left_cycles = extended_cycle(pair, label, coloring)
-    right = move_through_set(pair.right, right_cycles)
-    left = move_through_set(pair.left, left_cycles)
-    if left.shape() != right.shape():
-        raise RuntimeError(
-            f"extended move left shapes unequal: {left.shape()} vs {right.shape()}"
-        )
-    return make_pair(left, right)
+    return TableauPair(
+        move_through_set(pair.left, left_cycles), move_through_set(pair.right, right_cycles)
+    )

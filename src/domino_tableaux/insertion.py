@@ -23,7 +23,7 @@ After each letter the standardness rule of ``tableau.misplaced_cell`` runs
 on the moved cells and their right and lower neighbours; with each moved
 domino built (and so checked) as a ``Domino`` and an overlap check as cells
 are claimed, every intermediate tableau is verified standard.  The finished
-pair goes through ``make_tableau`` and ``make_pair`` once; the tableau
+pair goes through ``make_tableau`` and ``TableauPair`` once; the tableau
 constructor checks its layout and reuses the dominoes as they are.
 
 The inverse runs the bumping backwards while tracking the two-cell region
@@ -56,18 +56,19 @@ from .tableau import (
 
 @dataclass(frozen=True)
 class TableauPair:
+    """Two tableaux of one type, one shape and one label set."""
+
     left: DominoTableau
     right: DominoTableau
 
-
-def make_pair(left: DominoTableau, right: DominoTableau) -> TableauPair:
-    if left.lie_type != right.lie_type:
-        raise TableauError("pair mixes tableau types")
-    if left.shape() != right.shape():
-        raise TableauError(f"pair shapes differ: {left.shape()} vs {right.shape()}")
-    if left.labels() != right.labels():
-        raise TableauError("pair label sets differ")
-    return TableauPair(left, right)
+    def __post_init__(self) -> None:
+        left, right = self.left, self.right
+        if left.lie_type != right.lie_type:
+            raise TableauError("pair mixes tableau types")
+        if left.shape() != right.shape():
+            raise TableauError(f"pair shapes differ: {left.shape()} vs {right.shape()}")
+        if left.labels() != right.labels():
+            raise TableauError("pair label sets differ")
 
 
 def _leading(owner: dict[Cell, int], cell: Cell, horizontal: bool, bound: int) -> int:
@@ -167,7 +168,7 @@ def rs(w: SignedPerm, lie_type: str) -> TableauPair:
     ]
     left = make_tableau(lie_type, layout.values())
     right = make_tableau(lie_type, recording)
-    return make_pair(left, right)
+    return TableauPair(left, right)
 
 
 def _uninsert(
@@ -250,7 +251,7 @@ def pair_to_json_dict(pair: TableauPair) -> dict:
 def pair_from_json_dict(doc: dict) -> TableauPair:
     if not isinstance(doc, dict) or "left" not in doc or "right" not in doc:
         raise TableauError(f"malformed pair document: {doc!r}")
-    return make_pair(from_json_dict(doc["left"]), from_json_dict(doc["right"]))
+    return TableauPair(from_json_dict(doc["left"]), from_json_dict(doc["right"]))
 
 
 def pair_serialize(pair: TableauPair) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cycles import Coloring, move_through_extended
-from .insertion import TableauPair, make_pair
+from .insertion import TableauPair
 from .signed_perm import SignedPerm, apply_generator, right_descents
 from .tableau import DominoTableau, TableauError, replace_cells
 
@@ -127,24 +127,19 @@ def unequal_length_domain(pair: TableauPair) -> OperatorDomainReport:
 def wall_cross_unequal_length(pair: TableauPair) -> TableauPair:
     """Cross the wall between the sign-change root and its swap neighbor.
 
-    On the flat two-domino head shapes the right tableau's first and second
-    dominoes are rearranged directly; on the others an extended cycle move
-    of the second domino under the native coloring happens first.
+    The right tableau's first and second dominoes are transposed in their
+    2x2 box (type C) or trade cells (type B).  On the heads (3,1) and (3,2)
+    an extended cycle move of the second domino under the native coloring
+    happens first; on the flat heads the left tableau stays as it is.
     """
     report = unequal_length_domain(pair)
     if not report.defined:
         raise OperatorUndefinedError(report)
     first, second = pair.right.dominoes[0].label, pair.right.dominoes[1].label
-    if pair.right.lie_type == "C":
-        if report.case == "(3,1)":
-            moved = move_through_extended(pair, second, Coloring.NATIVE)
-            return make_pair(moved.left, _swap_in_box(moved.right, first, second))
-        # (2,2): the left tableau is untouched, object identity preserved
-        return make_pair(pair.left, _swap_in_box(pair.right, first, second))
-    if report.case == "(3,2)":
-        moved = move_through_extended(pair, second, Coloring.NATIVE)
-        return make_pair(moved.left, _swap_positions(moved.right, first, second))
-    return make_pair(pair.left, _swap_positions(pair.right, first, second))
+    swap = _swap_in_box if pair.right.lie_type == "C" else _swap_positions
+    if report.case in ("(3,1)", "(3,2)"):
+        pair = move_through_extended(pair, second, Coloring.NATIVE)
+    return TableauPair(pair.left, swap(pair.right, first, second))
 
 
 def type_d_domain(pair: TableauPair) -> OperatorDomainReport:
@@ -181,4 +176,4 @@ def wall_cross_type_d(pair: TableauPair) -> TableauPair:
     second = pair.right.dominoes[1].label
     last = pair.right.dominoes[3 if pair.right.lie_type == "C" else 2].label
     moved = move_through_extended(pair, last, Coloring.TYPE_D)
-    return make_pair(moved.left, _swap_in_box(moved.right, second, last))
+    return TableauPair(moved.left, _swap_in_box(moved.right, second, last))

@@ -8,6 +8,8 @@ import pytest
 
 from domino_tableaux.cycles import (
     Coloring,
+    Cycle,
+    _open_by_square,
     all_cycles,
     cycle_of,
     extended_cycle,
@@ -378,8 +380,31 @@ def test_extended_move_balanced_instance():
     assert out.left == out.right
 
 
+def test_extended_move_grows_on_the_right():
+    # The seed {1,2,3} trades hole (1,4) for corner (4,1).  The left cycle
+    # {1,2,3} matches the hole but brings corner (2,3), and the left cycle
+    # {4} matches (4,1) but brings hole (3,2); the right cycle {4} closes
+    # both squares.
+    pair = rs((1, 3, -4, 2), "C")
+    right_cycles, left_cycles = extended_cycle(pair, 1, TYPE_D)
+    assert [cy.labels for cy in right_cycles] == [(1, 2, 3), (4,)]
+    assert [cy.labels for cy in left_cycles] == [(1, 2, 3), (4,)]
+    out = move_through_extended(pair, 1, TYPE_D)
+    assert out.left != pair.left and out.right != pair.right
+    assert out.left.shape() == out.right.shape() == (3, 3, 1, 1)
+    assert move_through_extended(out, 1, TYPE_D) == pair
+
+
+def test_extended_cycle_rejects_two_open_cycles_on_one_square():
+    # no standard tableau of rank <= 5 has such a pair; built by hand here
+    a = Cycle((1,), NATIVE, True, (1, 2), (2, 1), True, False)
+    b = Cycle((2,), NATIVE, True, (1, 4), (2, 1), True, False)
+    with pytest.raises(TableauError, match=r"ambiguous at square \(2, 1\)"):
+        _open_by_square([a, b])
+
+
 @pytest.mark.parametrize("t", ["C", "B"])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_extended_move_involution_and_shapes(t, n):
     for w in enumerate_group(n):
         pair = rs(w, t)

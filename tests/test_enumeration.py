@@ -117,6 +117,17 @@ def test_suites_pass_at_rank_two(name, t):
     assert doc["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "t, n, instances", [("C", 3, 62), ("C", 4, 754), ("B", 3, 63), ("B", 4, 760)]
+)
+def test_operator_cell_compat_passes_at_ranks_three_and_four(t, n, instances):
+    # rank 3 is the first where the equal-length operators apply; rank 5
+    # fails on the known annealing defect (ROADMAP)
+    report = verify_suite("operator-cell-compat", n, t)
+    assert report.failures == ()
+    assert report.instances == instances
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         verify_suite("no-such-suite", 2, "C")

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from domino_tableaux.insertion import (
     TableauPair,
     insert_letter,
-    make_pair,
     pair_deserialize,
     pair_serialize,
     rs,
@@ -96,9 +96,15 @@ def test_pair_shape_and_type_agreement():
             assert pair.left.labels() == pair.right.labels() == (1, 2, 3)
 
 
-def test_make_pair_rejects_mismatch():
-    with pytest.raises((ValueError, TableauError)):
-        make_pair(RANK2_TABLE[(1, 2)][0], RANK2_TABLE[(2, 1)][0])
+def test_tableau_pair_rejects_mismatch():
+    row = RANK2_TABLE[(1, 2)][0]
+    with pytest.raises(TableauError, match="^pair mixes tableau types$"):
+        TableauPair(C(H1), B((1, ((1, 2), (1, 3)))))
+    with pytest.raises(TableauError, match=re.escape("pair shapes differ: (4,) vs (2, 2)")):
+        TableauPair(row, RANK2_TABLE[(2, 1)][0])
+    gapped = make_tableau("C", [H1, (3, ((1, 3), (1, 4)))], require_contiguous=False)
+    with pytest.raises(TableauError, match="^pair label sets differ$"):
+        TableauPair(row, gapped)
 
 
 @pytest.mark.parametrize("t", ["C", "B"])
@@ -232,7 +238,7 @@ def oracle_rs(w, lie_type: str) -> TableauPair:
         grown = oracle_insert_letter(left, value)
         recording.append(Domino(step, grown.cells() - left.cells()))
         left = grown
-    return make_pair(left, make_tableau(lie_type, recording))
+    return TableauPair(left, make_tableau(lie_type, recording))
 
 
 def _reverse_step(lie_type: str, work: dict, delta: set[Cell]) -> tuple[int, dict]:
@@ -355,6 +361,6 @@ def test_rs_round_trip_scales_on_rank_512(t):
     elapsed = time.perf_counter() - start
     assert back == w
     left, right = (make_tableau(t, side.dominoes) for side in (pair.left, pair.right))
-    assert make_pair(left, right) == pair
+    assert TableauPair(left, right) == pair
     # the full-rebuild insertion takes about 1.5 s per type here
     assert elapsed < 0.75, f"rank-512 round trip took {elapsed:.2f} s"

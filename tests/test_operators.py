@@ -1,6 +1,6 @@
 import pytest
 
-from domino_tableaux.insertion import make_pair, rs, rs_inverse
+from domino_tableaux.insertion import TableauPair, rs, rs_inverse
 from domino_tableaux.operators import (
     OperatorUndefinedError,
     equal_length_domain,
@@ -105,7 +105,7 @@ def _gapped(tableau, above, shift=4):
 
 
 def _gapped_pair(pair, above):
-    return make_pair(_gapped(pair.left, above), _gapped(pair.right, above))
+    return TableauPair(_gapped(pair.left, above), _gapped(pair.right, above))
 
 
 def test_unequal_length_b_311_case_with_gapped_labels():
@@ -146,12 +146,12 @@ def test_operators_commute_with_a_label_gap(t):
 
 def test_unequal_length_domain_negatives():
     tall = make_tableau("C", [(1, ((1, 1), (2, 1))), (2, ((3, 1), (4, 1)))])
-    report = unequal_length_domain(make_pair(tall, tall))
+    report = unequal_length_domain(TableauPair(tall, tall))
     assert not report.defined and "(1, 1, 1, 1)" in report.reason
     single = rs((1,), "C")
     assert not unequal_length_domain(single).defined
     with pytest.raises(OperatorUndefinedError):
-        wall_cross_unequal_length(make_pair(tall, tall))
+        wall_cross_unequal_length(TableauPair(tall, tall))
 
 
 def test_type_d_c_trace():
