@@ -249,7 +249,7 @@ def test_verify_has_no_sample_or_seed(capsys, option):
     assert f"unrecognized arguments: {' '.join(option)}" in err
 
 
-def test_verify_pipeline_confluence_samples(capsys):
+def test_verify_pipeline_confluence_runs_every_tableau(capsys):
     code, out, _ = run(capsys, "verify", "--type", "C", "pipeline-confluence", "--n", "3")
     assert code == 0 and json.loads(out)["instances"] == 20
 

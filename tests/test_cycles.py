@@ -215,16 +215,6 @@ def _all_left_tableaux(n, lie_type):
 
 @pytest.mark.parametrize("t", ["C", "B"])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_cycles_partition_labels(t, n):
-    for tab in _all_left_tableaux(n, t):
-        for col in Coloring:
-            cycles = all_cycles(tab, col)
-            labels = [k for cy in cycles for k in cy.labels]
-            assert sorted(labels) == list(tab.labels())
-
-
-@pytest.mark.parametrize("t", ["C", "B"])
-@pytest.mark.parametrize("n", [1, 2, 3])
 def test_move_involution_and_shape_arithmetic(t, n):
     for tab in _all_left_tableaux(n, t):
         for col in Coloring:

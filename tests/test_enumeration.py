@@ -67,14 +67,6 @@ def test_count_large_staircase():
 
 
 @pytest.mark.parametrize("t", ["C", "B"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_square_sum_identity(t, n):
-    cell_count = 2 * n + (1 if t == "B" else 0)
-    total = sum(count_sdt(shape, t) ** 2 for shape in partitions_of(cell_count))
-    assert total == 2**n * math.factorial(n)
-
-
-@pytest.mark.parametrize("t", ["C", "B"])
 def test_all_sdt_matches_count(t):
     cell_count = 6 + (1 if t == "B" else 0)
     for shape in partitions_of(cell_count):
@@ -117,17 +109,6 @@ def test_suites_pass_at_rank_two(name, t):
     assert doc["passed"] is True
 
 
-@pytest.mark.parametrize(
-    "t, n, instances", [("C", 3, 62), ("C", 4, 754), ("B", 3, 63), ("B", 4, 760)]
-)
-def test_operator_cell_compat_passes_at_ranks_three_and_four(t, n, instances):
-    # rank 3 is the first where the equal-length operators apply; rank 5
-    # fails on the known annealing defect (ROADMAP)
-    report = verify_suite("operator-cell-compat", n, t)
-    assert report.failures == ()
-    assert report.instances == instances
-
-
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         verify_suite("no-such-suite", 2, "C")
@@ -143,7 +124,9 @@ def test_verify_suite_keeps_no_tableaux():
         "    gc.collect()\n"
         "    return sum(isinstance(o, DominoTableau) for o in gc.get_objects())\n"
         "before = live()\n"
-        "assert verify_suite('pipeline-confluence', 3, 'C').passed\n"
+        "for name in ('pipeline-confluence', 'inverse-transpose',\n"
+        "             'operator-cell-compat', 'surjectivity'):\n"
+        "    assert verify_suite(name, 3, 'C').passed\n"
         "print(before, live())\n"
     )
     src = os.path.dirname(os.path.dirname(domino_tableaux.__file__))
