@@ -151,14 +151,47 @@ def _group_shapes(n: int, lie_type: str):
     return partitions_of(2 * n + (1 if lie_type == "B" else 0))
 
 
+def _left_tableaux(n, lie_type):
+    """Every standard tableau of the rank, in serialized order: the left
+    tableaux of the rank-n group, as the rs-bijection suite checks."""
+    return sorted(
+        (tab for shape in _group_shapes(n, lie_type) for tab in all_sdt(shape, lie_type)),
+        key=serialize,
+    )
+
+
 def _suite_rs_bijection(n, lie_type, report):
+    """rs is a bijection onto same-shape pairs: rs_inverse undoes it and its
+    left tableaux are every standard tableau of the rank, which the suites
+    that read tableaux rely on.  Also color-to-spin (Shimozono-White, EJC
+    2001): L and R together have twice as many vertical dominoes as w has
+    negative entries."""
+    lefts = set()
     for w in enumerate_group(n):
         report["instances"] += 1
-        back = rs_inverse(rs(w, lie_type))
+        pair = rs(w, lie_type)
+        lefts.add(pair.left)
+        back = rs_inverse(pair)
         if back != w:
             report["failures"].append(
                 f"w={format_perm(w)} round-tripped to {format_perm(back)}"
             )
+        vertical = sum(
+            not d.horizontal for side in (pair.left, pair.right) for d in side.dominoes
+        )
+        negatives = sum(x < 0 for x in w)
+        if vertical != 2 * negatives:
+            report["failures"].append(
+                f"w={format_perm(w)}: {vertical} vertical dominoes, "
+                f"{negatives} negative entries"
+            )
+    standard = set(_left_tableaux(n, lie_type))
+    if lefts != standard:
+        report["failures"].append(
+            "left tableaux are not the standard tableaux of the rank: "
+            f"{len(standard - lefts)} standard tableaux never inserted, "
+            f"{len(lefts - standard)} left tableaux not among them"
+        )
 
 
 def _suite_counting_identities(n, lie_type, report):
@@ -191,18 +224,9 @@ def _suite_inverse_transpose(n, lie_type, report):
     pairs = {w: rs(w, lie_type) for w in enumerate_group(n)}
     for w, pair in pairs.items():
         report["instances"] += 1
-        if pairs[inverse(w)].left != pair.right:
+        other = pairs[inverse(w)]
+        if (other.left, other.right) != (pair.right, pair.left):
             report["failures"].append(f"w={format_perm(w)}")
-
-
-def _left_tableaux(n, lie_type):
-    """The left tableaux of the rank-n group, in serialized order.  Since rs
-    is a bijection onto same-shape pairs, they are every standard tableau of
-    the rank."""
-    return sorted(
-        (tab for shape in _group_shapes(n, lie_type) for tab in all_sdt(shape, lie_type)),
-        key=serialize,
-    )
 
 
 def _suite_cycle_involution(n, lie_type, report):

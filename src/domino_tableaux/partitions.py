@@ -91,18 +91,14 @@ def transpose(lam: Partition) -> Partition:
     return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
+def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of n, largest part first, in descending lex order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         yield ()
         return
-    cap = n if max_part is None else min(max_part, n)
-    if cap < 1:
-        return
-    q, r = divmod(n, cap)
-    parts = [cap] * q + ([r] if r else [])
+    parts = [n]
     while True:
         yield tuple(parts)
         # the successor lowers the last part above 1 by one and refills the

@@ -221,14 +221,21 @@ def to_json_dict(tableau: DominoTableau) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    """A JSON integer, as to_json_dict writes one; no float or bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
 def from_json_dict(doc: dict) -> DominoTableau:
     if not isinstance(doc, dict) or not isinstance(doc.get("dominoes"), list) or "type" not in doc:
         raise TableauError(f"malformed tableau document: {doc!r}")
     ds = []
     for entry in doc["dominoes"]:
         try:
-            cells = [(int(r), int(c)) for r, c in entry["cells"]]
-            ds.append((int(entry["label"]), cells))
+            cells = [(_json_int(r), _json_int(c)) for r, c in entry["cells"]]
+            ds.append((_json_int(entry["label"]), cells))
         except (KeyError, TypeError, ValueError) as exc:
             raise TableauError(f"malformed domino entry {entry!r}") from exc
     return make_tableau(doc["type"], ds)

@@ -287,6 +287,17 @@ def test_malformed_tableau_document_exits_one(capsys, dominoes):
     assert err.startswith("error: malformed tableau document")
 
 
+def test_non_integer_json_numbers_exit_one(capsys):
+    # rounded to integers, these numbers would make a valid pair of rank 1
+    text = (
+        '{"left": {"type": "C", "dominoes": [{"label": 1.9, "cells": [[1.5, 1], [1, 2.99]]}]},'
+        ' "right": {"type": "C", "dominoes": [{"label": true, "cells": [[1, 1], [1, 2]]}]}}'
+    )
+    code, out, err = run(capsys, "inverse", text)
+    assert code == 1 and out == ""
+    assert err.startswith("error: malformed domino entry")
+
+
 _C_PAIR = rs((-1, 2), "C")
 _B_PAIR = rs((2, -1, 3), "B")
 _C_LEFT = to_json_dict(_C_PAIR.left)

@@ -94,6 +94,8 @@ def _atoms(tableau, coloring):
 
 
 def _sdt_of_rank(n, lie_type):
+    """Every standard tableau of rank n: the left tableaux of the rank-n
+    group, as the rs-bijection suite checks (gate 1)."""
     size = 2 * n + (1 if lie_type == "B" else 0)
     return [tab for shape in partitions_of(size) for tab in all_sdt(shape, lie_type)]
 
@@ -209,14 +211,10 @@ def test_boxing_facts():
     assert not is_boxed(((1, 1), (1, 2)), TYPE_D)
 
 
-def _all_left_tableaux(n, lie_type):
-    return {rs(w, lie_type).left for w in enumerate_group(n)}
-
-
 @pytest.mark.parametrize("t", ["C", "B"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_move_involution_and_shape_arithmetic(t, n):
-    for tab in _all_left_tableaux(n, t):
+    for tab in _sdt_of_rank(n, t):
         for col in Coloring:
             for cy in all_cycles(tab, col):
                 moved = move_through(tab, cy)
@@ -234,7 +232,7 @@ def test_move_involution_and_shape_arithmetic(t, n):
 @pytest.mark.parametrize("t", ["C", "B"])
 def test_boxedness_constant_on_cycles(t):
     for n in (1, 2, 3):
-        for tab in _all_left_tableaux(n, t):
+        for tab in _sdt_of_rank(n, t):
             for col in Coloring:
                 for cy in all_cycles(tab, col):
                     flags = {is_boxed(tab.domino(k).cells, col) for k in cy.labels}
@@ -245,7 +243,7 @@ def test_boxedness_constant_on_cycles(t):
 @pytest.mark.parametrize("t", ["C", "B"])
 def test_retiling_count_is_power_of_two(t):
     for n in (1, 2):
-        for tab in _all_left_tableaux(n, t):
+        for tab in _sdt_of_rank(n, t):
             for col in Coloring:
                 atoms = _atoms(tab, col)
                 assert len(_retilings(tab, col)) == 2 ** len(atoms)
@@ -253,7 +251,7 @@ def test_retiling_count_is_power_of_two(t):
 
 def test_move_through_set_commutes():
     for t in ("C", "B"):
-        for tab in _all_left_tableaux(3, t):
+        for tab in _sdt_of_rank(3, t):
             for col in Coloring:
                 cycles = all_cycles(tab, col)
                 for a, b in itertools.combinations(cycles, 2):

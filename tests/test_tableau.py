@@ -279,3 +279,22 @@ def test_deserialize_rejects_garbage():
 def test_from_json_dict_needs_a_domino_list(dominoes):
     with pytest.raises(TableauError, match="malformed tableau document"):
         from_json_dict({"type": "C", "dominoes": dominoes})
+
+
+# to_json_dict writes integers only; a float, bool or string in their place
+# is malformed, not rounded to a nearby integer.
+@pytest.mark.parametrize(
+    "label, cells",
+    [
+        (1.9, [[1, 1], [1, 2]]),
+        (True, [[1, 1], [1, 2]]),
+        ("1", [[1, 1], [1, 2]]),
+        (1, [[1.5, 1], [1, 2]]),
+        (1, [[1, 1], [1, 2.0]]),
+        (1, [[1, 1], [True, 2]]),
+    ],
+)
+def test_from_json_dict_accepts_only_integers(label, cells):
+    doc = {"type": "C", "dominoes": [{"label": label, "cells": cells}]}
+    with pytest.raises(TableauError, match="malformed domino entry"):
+        from_json_dict(doc)
