@@ -24,7 +24,8 @@ on the moved cells and their right and lower neighbours; with each moved
 domino built (and so checked) as a ``Domino`` and an overlap check as cells
 are claimed, every intermediate tableau is verified standard.  The finished
 pair goes through ``make_tableau`` and ``TableauPair`` once; the tableau
-constructor checks its layout and reuses the dominoes as they are.
+constructor checks its layout and reuses the dominoes as they are, and the
+pair compares the shapes that the two tableau checks kept.
 
 The inverse runs the bumping backwards while tracking the two-cell region
 by which the tableau differs from the one before the letter: the next
@@ -107,14 +108,10 @@ def _bumped(owner: dict[Cell, int], d: Domino) -> tuple[Cell, Cell]:
 
 
 def _insert(layout: dict[int, Domino], owner: dict[Cell, int], value: int) -> list[Cell]:
-    """Insert one signed value into the layout and owner map in place,
-    moving only the dominoes on its bumping path; returns the two cells by
-    which the tableau grew."""
+    """Insert one signed value, whose label the layout does not hold yet,
+    into the layout and owner map in place, moving only the dominoes on its
+    bumping path; returns the two cells by which the tableau grew."""
     label = abs(value)
-    if label == 0:
-        raise TableauError("cannot insert 0")
-    if label in layout:
-        raise TableauError(f"label {label} already present")
     n = _leading(owner, (1, 1), value > 0, label)
     cells = ((1, n + 1), (1, n + 2)) if value > 0 else ((n + 1, 1), (n + 2, 1))
     hits: list[int] = []
@@ -145,14 +142,6 @@ def _insert(layout: dict[int, Domino], owner: dict[Cell, int], value: int) -> li
     if bad is not None:
         raise TableauError(f"cells up to label {owner[bad]} do not form a Young diagram")
     return grown
-
-
-def insert_letter(tableau: DominoTableau, value: int) -> DominoTableau:
-    """Insert one signed value; dominoes with smaller labels never move."""
-    layout = {d.label: d for d in tableau.dominoes}
-    owner = tableau.cell_owner()
-    _insert(layout, owner, value)
-    return make_tableau(tableau.lie_type, layout.values(), require_contiguous=False)
 
 
 def rs(w: SignedPerm, lie_type: str) -> TableauPair:

@@ -17,7 +17,12 @@ SignedPerm = tuple[int, ...]
 
 
 def as_signed_perm(entries) -> SignedPerm:
-    w = tuple(int(x) for x in entries)
+    """The entries as a signed permutation; each must be an int (not a
+    bool), and nothing is coerced."""
+    w = tuple(entries)
+    for x in w:
+        if type(x) is not int:
+            raise ValueError(f"signed permutation entries must be ints, got {x!r}")
     n = len(w)
     if sorted(abs(x) for x in w) != list(range(1, n + 1)):
         raise ValueError(f"not a signed permutation of 1..{n}: {w}")
@@ -25,11 +30,9 @@ def as_signed_perm(entries) -> SignedPerm:
 
 
 def parse_perm(text: str) -> SignedPerm:
-    """Parse space-separated one-line notation, e.g. "2 -1 3"."""
-    toks = text.split()
-    if not toks:
-        raise ValueError("empty permutation")
-    return as_signed_perm(int(t) for t in toks)
+    """Parse space-separated one-line notation, e.g. "2 -1 3"; blank text
+    is the rank-0 identity, as ``format_perm(())`` writes it."""
+    return as_signed_perm(int(t) for t in text.split())
 
 
 def format_perm(w: SignedPerm) -> str:

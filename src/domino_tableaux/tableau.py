@@ -4,11 +4,15 @@ Cells are (row, column) pairs, 1-based, row 1 at the top.  A type-B tableau
 owns an extra unlabeled core cell at (1,1) that takes part in every shape
 computation; type C has no core.
 
-Both value types are valid by construction.  ``Domino`` sorts its cells
-row-major and rejects anything but two edge-adjacent cells of the quadrant
-under a positive label.  ``DominoTableau`` rejects overlaps (with each other
-and with the core), labels that do not strictly increase, and layouts that
-are not standard, so no layer re-checks a tableau or a domino it is handed.
+Both value types are valid by construction.  ``Domino`` takes ints only
+(not bools) for its label and its four coordinates, refusing rather than
+coercing anything else; it sorts its cells row-major and rejects anything
+but two edge-adjacent cells of the quadrant under a positive label.
+``DominoTableau`` rejects overlaps (with each other and with the core),
+labels that do not strictly increase, and layouts that are not standard, so
+no layer re-checks a tableau or a domino it is handed.  The cell -> label
+map and the shape that this check builds are kept: ``shape()`` and
+``cells()`` read them, and ``cell_owner()`` copies the map.
 
 Standardness is the local rule of ``misplaced_cell``: every labelled cell's
 upper and left neighbours inside the quadrant exist with labels no larger
@@ -21,16 +25,15 @@ cells it touches checked.
 
 Tableaux are immutable values; "mutating" helpers return new objects that
 share the unchanged dominoes.  Labels are normally 1..m, which
-``make_tableau`` checks by default; insertion mid-algorithm carries a
-standard tableau whose label set has gaps, and asks for that with
-require_contiguous=False.  A relocation (``replace_cells``) keeps the label
-set, so it has nothing to ask.
+``make_tableau`` checks by default; a standard tableau whose label set has
+gaps is asked for with require_contiguous=False.  A relocation
+(``replace_cells``) keeps the label set, so it has nothing to ask.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .partitions import Partition, check_group_type
@@ -47,8 +50,17 @@ def core_cells(lie_type: str) -> tuple[Cell, ...]:
     return ((1, 1),) if lie_type == "B" else ()
 
 
-def _adjacent(a: Cell, b: Cell) -> bool:
-    return abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
+def _malformed_cells(label: int, cells) -> TableauError:
+    """The error for cells that are not two (row, column) pairs of ints."""
+    try:
+        cs = tuple(sorted(tuple(c) for c in cells))
+    except TypeError:
+        cs = None
+    if cs is not None and len(cs) != 2:
+        return TableauError(f"domino {label} needs exactly two cells, got {cs}")
+    return TableauError(
+        f"domino {label} cells must be two (row, column) pairs of ints, got {cells!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -58,14 +70,22 @@ class Domino:
 
     def __post_init__(self) -> None:
         label = self.label
-        cs = tuple(sorted((int(r), int(c)) for r, c in self.cells))
+        if type(label) is not int:
+            raise TableauError(f"domino label must be an int, got {label!r}")
         if label < 1:
             raise TableauError(f"domino label must be positive, got {label}")
-        if len(cs) != 2:
-            raise TableauError(f"domino {label} needs exactly two cells, got {cs}")
-        if any(r < 1 or c < 1 for r, c in cs):
+        try:
+            (r1, c1), (r2, c2) = self.cells
+        except (TypeError, ValueError):
+            raise _malformed_cells(label, self.cells) from None
+        if not (type(r1) is int and type(c1) is int and type(r2) is int and type(c2) is int):
+            raise _malformed_cells(label, self.cells)
+        if r2 < r1 or (r2 == r1 and c2 < c1):
+            r1, c1, r2, c2 = r2, c2, r1, c1
+        cs = ((r1, c1), (r2, c2))
+        if r1 < 1 or c1 < 1 or c2 < 1:
             raise TableauError(f"domino {label} has out-of-quadrant cells {cs}")
-        if not _adjacent(*cs):
+        if not (c2 == c1 + 1 if r1 == r2 else c1 == c2 and r2 == r1 + 1):
             raise TableauError(f"domino {label} cells {cs} do not share an edge")
         object.__setattr__(self, "cells", cs)
 
@@ -96,6 +116,10 @@ def shape_of_cells(cells: Iterable[Cell]) -> Partition:
 class DominoTableau:
     lie_type: str
     dominoes: tuple[Domino, ...]  # ascending labels
+    # The cell -> label map (0 for the type-B core) and the shape that the
+    # constructor's check builds; neither takes part in equality.
+    _owner: dict[Cell, int] = field(init=False, compare=False, repr=False)
+    _shape: Partition = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         try:
@@ -120,6 +144,8 @@ class DominoTableau:
         if bad is not None:
             raise TableauError(f"cells up to label {owner[bad]} do not form a Young diagram")
         object.__setattr__(self, "dominoes", dominoes)
+        object.__setattr__(self, "_owner", owner)
+        object.__setattr__(self, "_shape", shape_of_cells(owner))
 
     def labels(self) -> tuple[int, ...]:
         return tuple(d.label for d in self.dominoes)
@@ -131,21 +157,15 @@ class DominoTableau:
         raise KeyError(f"no domino labeled {label}")
 
     def cells(self) -> frozenset[Cell]:
-        out = set(core_cells(self.lie_type))
-        for d in self.dominoes:
-            out.update(d.cells)
-        return frozenset(out)
+        return frozenset(self._owner)
 
     def cell_owner(self) -> dict[Cell, int]:
-        """Map of cell -> label, with 0 for the type-B core."""
-        out: dict[Cell, int] = {c: 0 for c in core_cells(self.lie_type)}
-        for d in self.dominoes:
-            for c in d.cells:
-                out[c] = d.label
-        return out
+        """Map of cell -> label, with 0 for the type-B core; a fresh copy
+        that the caller may change."""
+        return dict(self._owner)
 
     def shape(self) -> Partition:
-        return shape_of_cells(self.cells())
+        return self._shape
 
     def sub_shape(self, k: int) -> Partition:
         """Shape of the core plus the first k dominoes, whatever their labels."""

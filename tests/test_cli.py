@@ -37,6 +37,15 @@ def test_rs_then_inverse_round_trip(capsys):
     assert json.loads(out2) == {"word": "-2 1 3"}
 
 
+@pytest.mark.parametrize("lie_type", ["C", "B"])
+def test_empty_word_round_trips(lie_type):
+    # dtab rs --type T "" | dtab inverse -
+    code, out, err = _run_with_stdin(["rs", "--type", lie_type, ""], "")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == pair_to_json_dict(rs((), lie_type))
+    assert _run_with_stdin(["inverse", "-"], out) == (0, '{"word": ""}\n', "")
+
+
 def test_orbital_example(capsys):
     code, out, _ = run(capsys, "orbital", "--type", "C", "2 1")
     assert code == 0

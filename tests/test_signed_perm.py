@@ -37,6 +37,23 @@ def test_parse_and_format():
         parse_perm("0 1")
 
 
+def test_blank_text_is_the_rank_zero_word():
+    # format_perm writes the rank-0 identity as "", and parse_perm reads it back
+    assert format_perm(()) == ""
+    assert parse_perm("") == parse_perm(" \n") == identity(0) == ()
+
+
+# Entries that are not ints are refused, never rounded or parsed.
+@pytest.mark.parametrize(
+    "entries, bad",
+    [([1.9, -2.2], "1.9"), ([True], "True"), (["2", "-1"], "'2'"), ([1, -2.0], "-2.0")],
+)
+def test_as_signed_perm_accepts_only_ints(entries, bad):
+    with pytest.raises(ValueError, match=f"^signed permutation entries must be ints, got {bad}$"):
+        as_signed_perm(entries)
+    assert as_signed_perm([2, -1]) == (2, -1) and as_signed_perm(()) == ()
+
+
 def test_group_sizes():
     assert sum(1 for _ in enumerate_group(1)) == 2
     assert sum(1 for _ in enumerate_group(2)) == 8

@@ -27,7 +27,9 @@ def test_domino_validation():
     assert d.cells == ((1, 1), (1, 2))
     assert d.horizontal
     assert not Domino(1, [(2, 1), (1, 1)]).horizontal
-    assert Domino(2, [("2", 1.0), [1, 1]]).cells == ((1, 1), (2, 1))
+    assert Domino(2, [[2, 1], [1, 1]]).cells == ((1, 1), (2, 1))
+    with pytest.raises(TableauError, match="^domino 2 cells must be two"):
+        Domino(2, [("2", 1.0), [1, 1]])
     assert Domino(2, ((2, 1), (1, 1))) == Domino(2, ((1, 1), (2, 1)))
 
 
@@ -50,7 +52,25 @@ BAD_DOMINOES = [
 ]
 
 
-@pytest.mark.parametrize("args, message", BAD_DOMINOES)
+# Each domino that is refused for a value that is not an int: a float, a
+# string or a bool where a cell coordinate or the label belongs.  Nothing
+# is coerced to a nearby int.
+NOT_PAIRS = "cells must be two (row, column) pairs of ints, got"
+NOT_INT_DOMINOES = [
+    ((1, [(1.5, 1), (1, 2.99)]), f"domino 1 {NOT_PAIRS} [(1.5, 1), (1, 2.99)]"),
+    ((1, [(1, 1), (1, 2.0)]), f"domino 1 {NOT_PAIRS} [(1, 1), (1, 2.0)]"),
+    ((2, [("1", 1), (1, 2)]), f"domino 2 {NOT_PAIRS} [('1', 1), (1, 2)]"),
+    ((3, [(1, 1), (True, 2)]), f"domino 3 {NOT_PAIRS} [(1, 1), (True, 2)]"),
+    ((1, [(1, 1, 1), (1, 2)]), f"domino 1 {NOT_PAIRS} [(1, 1, 1), (1, 2)]"),
+    ((1, 5), f"domino 1 {NOT_PAIRS} 5"),
+    ((1.9, [(1, 1), (1, 2)]), "domino label must be an int, got 1.9"),
+    ((1.0, [(1, 1), (1, 2)]), "domino label must be an int, got 1.0"),
+    ((True, [(1, 1), (1, 2)]), "domino label must be an int, got True"),
+    (("1", [(1, 1), (1, 2)]), "domino label must be an int, got '1'"),
+]
+
+
+@pytest.mark.parametrize("args, message", BAD_DOMINOES + NOT_INT_DOMINOES)
 def test_domino_rejects_with_message(args, message):
     with pytest.raises(TableauError) as exc:
         Domino(*args)
@@ -216,6 +236,58 @@ def test_local_rule_matches_prefix_oracle():
         )
         verdicts.append(check(tab.lie_type, tuple(relabelled)))
     assert verdicts.count(True) > 150 and verdicts.count(False) > 1500
+
+
+def test_kept_views_match_the_dominoes():
+    # shape(), cells() and cell_owner() read what the constructor kept;
+    # each must equal a recomputation from the dominoes alone
+    from domino_tableaux.enumeration import all_sdt
+    from domino_tableaux.partitions import partitions_of
+
+    gapped = make_tableau(
+        "B",
+        [(2, ((1, 2), (1, 3))), (7, ((2, 1), (3, 1))), (9, ((1, 4), (1, 5)))],
+        require_contiguous=False,
+    )
+    tableaux = [gapped]
+    for t, core in (("C", 0), ("B", 1)):
+        for n in range(6):
+            for shape in partitions_of(2 * n + core):
+                tableaux.extend(all_sdt(shape, t))
+    assert len(tableaux) == 1 + 2 * (1 + 2 + 6 + 20 + 76 + 312)
+    for tab in tableaux:
+        owner = {c: 0 for c in core_cells(tab.lie_type)}
+        for d in tab.dominoes:
+            owner.update(dict.fromkeys(d.cells, d.label))
+        rows = max((r for r, _ in owner), default=0)
+        shape = tuple(sum(1 for r, _ in owner if r == row) for row in range(1, rows + 1))
+        assert list(tab.cell_owner().items()) == list(owner.items())
+        assert tab.cells() == frozenset(owner)
+        assert tab.shape() == tab.sub_shape(len(tab.dominoes)) == shape
+    assert gapped.shape() == (5, 1, 1)
+
+
+def test_cell_owner_is_a_fresh_copy():
+    t = make_tableau("B", [(1, ((1, 2), (1, 3))), (2, ((2, 1), (2, 2)))])
+    shape, cells, owner = t.shape(), t.cells(), t.cell_owner()
+    mine = t.cell_owner()
+    mine[(1, 1)] = 7
+    del mine[(1, 2)]
+    mine[(5, 5)] = 3
+    assert t.shape() == shape == (3, 2)
+    assert t.cells() == cells and t.cell_owner() == owner and t.cell_owner() is not mine
+
+
+def test_kept_views_leave_equality_hash_and_repr_alone():
+    t = make_tableau("C", H_PAIR_C)
+    there = replace_cells(t, {2: ((2, 1), (3, 1))})
+    back = replace_cells(there, {2: ((2, 1), (2, 2))})
+    built = DominoTableau("C", (Domino(1, [[1, 2], [1, 1]]), Domino(2, ((2, 1), (2, 2)))))
+    for other in (back, built):
+        assert other == t and hash(other) == hash(t) and repr(other) == repr(t)
+        assert other.shape() == t.shape() and other.cell_owner() == t.cell_owner()
+    assert there != t and there.shape() == (2, 1, 1)
+    assert repr(t) == f"DominoTableau(lie_type='C', dominoes={t.dominoes!r})"
 
 
 def test_replace_cells():
