@@ -11,7 +11,6 @@ from .cycles import (
     all_cycles,
     cycle_of,
     extended_cycle,
-    is_boxed,
     move_through,
     move_through_extended,
     move_through_set,
@@ -91,6 +90,7 @@ from .tableau import (
 
 __version__ = "0.1.0"
 
+# Names that no other module calls say why they are exported.
 __all__ = [
     "AnnealStep",
     "Coloring",
@@ -125,22 +125,21 @@ __all__ = [
     "generator",
     "identity",
     "inverse",
-    "is_boxed",
     "is_orbit_partition",
     "is_special",
-    "left_descents",
+    "left_descents",  # the left descent set, right_descents' partner
     "length",
     "make_tableau",
     "move_through",
     "move_through_extended",
     "move_through_set",
     "orbit_collapse",
-    "orbit_dual",
+    "orbit_dual",  # the duality whose square fixes exactly the special partitions
     "orbit_of",
     "orbital_tableau",
     "pair_deserialize",
     "pair_from_json_dict",
-    "pair_serialize",
+    "pair_serialize",  # the text that pair_deserialize reads back
     "pair_to_json_dict",
     "parse_partition",
     "parse_perm",

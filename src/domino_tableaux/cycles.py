@@ -15,10 +15,20 @@ other position D'(k) through its fixed cell, decided by the label of one
 diagonal neighbour (``_moved_position``).  The cycles are the connected
 components of the relation "D'(k) meets D(l)"; a component whose
 simultaneous move is not standard is frozen into single-label identity
-cycles.  Each cycle carries its move and its source tableau; all of them are
-built in time linear in the number of dominoes.  The exhaustive search over
-all standard re-tilings, which takes time exponential in the number of
-cycles, is kept in the tests as the oracle for this construction.
+cycles.  Each cycle carries its move and its source tableau.
+
+``all_cycles`` builds every cycle in time linear in the number of dominoes:
+one union-find pass, then one standardness test per component, made on a
+single scratch copy of the owner map with the local rule of
+``tableau.misplaced_cell`` and undone.  ``cycle_of`` walks only its label's
+component, so it costs time linear in the size of that component (each
+domino found by bisection), plus one copy of the owner map; it hands the
+component to the same test and the same build, so it answers exactly as
+``all_cycles`` does.  A move (``move_through``, through
+``tableau.replace_cells``) checks only the cells it changes.  The
+exhaustive search over all standard re-tilings, which takes time
+exponential in the number of cycles, is kept in the tests as the oracle for
+this construction.
 """
 
 from __future__ import annotations
@@ -29,7 +39,15 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .insertion import TableauPair
-from .tableau import Cell, Domino, DominoTableau, TableauError, misplaced_cell, replace_cells
+from .tableau import (
+    Cell,
+    Domino,
+    DominoTableau,
+    TableauError,
+    misplaced_cell,
+    move_cells,
+    replace_cells,
+)
 
 
 class Coloring(enum.Enum):
@@ -112,34 +130,25 @@ def _moved_position(
 
 
 def _is_standard_move(
-    owner: dict[Cell, int],
+    scratch: dict[Cell, int],
     original: dict[int, tuple[Cell, Cell]],
     moves: dict[int, tuple[Cell, Cell]],
 ) -> bool:
     """Does relocating the given labels leave a standard tableau?
 
-    The placed cells must lie in the quadrant on cells that are free or
-    vacated.  Standardness is the local rule of ``tableau.misplaced_cell``,
-    so only the placed cells and the cells right of or below a changed cell
-    need a look.
+    The move is made in ``scratch``, a copy of the tableau's owner map,
+    checked there by the local rule of ``tableau.misplaced_cell`` on the
+    cells it can change, and undone.
     """
-    vacated = {c for lbl in moves for c in original[lbl]}
-    placed: dict[Cell, int] = {}
+    touched = move_cells(scratch, original, moves)
+    standard = touched is not None and misplaced_cell(scratch, touched) is None
     for lbl, cells in moves.items():
         for c in cells:
-            if c[0] < 1 or c[1] < 1 or c in placed or (c in owner and c not in vacated):
-                return False
-            placed[c] = lbl
-
-    def at(c: Cell) -> int | None:
-        if c in placed:
-            return placed[c]
-        return None if c in vacated else owner.get(c)
-
-    touched = set(placed)
-    for r, c in vacated | set(placed):
-        touched.update(((r + 1, c), (r, c + 1)))
-    return misplaced_cell(at, touched) is None
+            if scratch.get(c) == lbl:
+                del scratch[c]
+    for lbl in moves:
+        scratch.update(dict.fromkeys(original[lbl], lbl))
+    return standard
 
 
 def _moving_cycle(
@@ -164,6 +173,27 @@ def _moving_cycle(
     )
 
 
+def _component_cycles(
+    tableau: DominoTableau,
+    labels: list[int],
+    coloring: Coloring,
+    scratch: dict[Cell, int],
+    original: dict[int, tuple[Cell, Cell]],
+    moved: dict[int, tuple[Cell, Cell]],
+) -> list[Cycle]:
+    """The cycles of one component of "D'(k) meets D(l)", whose labels come
+    in ascending order: one cycle when its simultaneous move is standard,
+    else closed single-label cycles whose move is the identity."""
+    step = {lbl: moved[lbl] for lbl in labels}
+    if _is_standard_move(scratch, original, step):
+        return [_moving_cycle(tableau, labels, coloring, original, step)]
+    frozen = []
+    for lbl in labels:
+        boxed = is_boxed(original[lbl], coloring)
+        frozen.append(Cycle((lbl,), coloring, False, None, None, None, boxed, (), tableau))
+    return frozen
+
+
 def all_cycles(tableau: DominoTableau, coloring: Coloring) -> tuple[Cycle, ...]:
     """Each cycle once, sorted by labels; they partition the labels.
 
@@ -171,7 +201,7 @@ def all_cycles(tableau: DominoTableau, coloring: Coloring) -> tuple[Cycle, ...]:
     component whose simultaneous move is not standard is frozen into closed
     single-label cycles whose move is the identity.
     """
-    owner = tableau.cell_owner()
+    owner = tableau._owner
     original = {d.label: d.cells for d in tableau.dominoes}
     moved = {d.label: _moved_position(d, owner, coloring) for d in tableau.dominoes}
     parent = {lbl: lbl for lbl in original}
@@ -189,20 +219,15 @@ def all_cycles(tableau: DominoTableau, coloring: Coloring) -> tuple[Cycle, ...]:
     components: dict[int, list[int]] = {}
     for lbl in original:
         components.setdefault(find(lbl), []).append(lbl)
+    scratch = dict(owner)
     cycles: list[Cycle] = []
     for labels in components.values():
-        step = {lbl: moved[lbl] for lbl in labels}
-        if _is_standard_move(owner, original, step):
-            cycles.append(_moving_cycle(tableau, labels, coloring, original, step))
-        else:
-            for lbl in labels:
-                boxed = is_boxed(original[lbl], coloring)
-                cycles.append(Cycle((lbl,), coloring, False, None, None, None, boxed, (), tableau))
+        cycles += _component_cycles(tableau, labels, coloring, scratch, original, moved)
     cycles.sort(key=lambda cy: cy.labels)
     return tuple(cycles)
 
 
-def _cycle_with(cycles: tuple[Cycle, ...], label: int) -> Cycle:
+def _cycle_with(cycles: Iterable[Cycle], label: int) -> Cycle:
     for cy in cycles:
         if label in cy.labels:
             return cy
@@ -210,7 +235,44 @@ def _cycle_with(cycles: tuple[Cycle, ...], label: int) -> Cycle:
 
 
 def cycle_of(tableau: DominoTableau, label: int, coloring: Coloring) -> Cycle:
-    return _cycle_with(all_cycles(tableau, coloring), label)
+    """The cycle of ``label``, as ``all_cycles`` gives it, from a walk over
+    that label's component of "D'(k) meets D(l)" alone.
+
+    D'(k) meets the dominoes that own its cells.  D'(l) meets D(k) for
+    l != k only at k's variable cell v, and keeps l's fixed cell, which is
+    next to v; so the dominoes that reach D(k) are among the owners of v's
+    neighbours.
+    """
+    owner = tableau._owner
+    original: dict[int, tuple[Cell, Cell]] = {}
+    moved: dict[int, tuple[Cell, Cell]] = {}
+
+    def moved_of(lbl: int) -> tuple[Cell, Cell]:
+        if lbl not in moved:
+            d = tableau.domino(lbl)
+            original[lbl] = d.cells
+            moved[lbl] = _moved_position(d, owner, coloring)
+        return moved[lbl]
+
+    component = [label]
+    seen = {label}
+    for k in component:  # grows while it is walked
+        for c in moved_of(k):
+            lbl = owner.get(c)
+            if lbl and lbl not in seen:
+                seen.add(lbl)
+                component.append(lbl)
+        a, b = original[k]
+        v = b if is_fixed(a, coloring) else a
+        r, c = v
+        for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            lbl = owner.get(nb)
+            if lbl and lbl not in seen and v in moved_of(lbl):
+                seen.add(lbl)
+                component.append(lbl)
+    component.sort()
+    cycles = _component_cycles(tableau, component, coloring, dict(owner), original, moved)
+    return _cycle_with(cycles, label)
 
 
 def move_through(tableau: DominoTableau, cycle: Cycle) -> DominoTableau:

@@ -138,7 +138,7 @@ def _insert(layout: dict[int, Domino], owner: dict[Cell, int], value: int) -> li
             break
         k = last = heapq.heappop(hits)
         cells = _bumped(owner, layout[k])
-    bad = misplaced_cell(owner.get, touched)
+    bad = misplaced_cell(owner, touched)
     if bad is not None:
         raise TableauError(f"cells up to label {owner[bad]} do not form a Young diagram")
     return grown

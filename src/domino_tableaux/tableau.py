@@ -20,8 +20,21 @@ than its own, the core counting as 0.  It is the prefix definition (for
 every label k, the core and the dominoes labeled <= k fill a Young diagram)
 read cell by cell, since a cell of label k lies in the k-prefix, and the
 first prefix to fail is that of the smallest misplaced label.  So the
-constructor's check is one linear pass, and a relocation needs only the
-cells it touches checked.
+constructor's check is one linear pass.
+
+A relocation (``replace_cells``) checks only what it changes.  Its source
+is standard and keeps its labels and their order, and a cell's verdict
+depends only on its own label and those of its upper and left neighbours.
+So the only cells whose verdict can change are the placed cells and the
+cells right of or below a vacated or placed cell, and the result is
+standard exactly when none of them is misplaced.  ``replace_cells``
+moves the relocated dominoes on a copy of the source's owner map, refuses a
+placed cell that stays taken, runs the rule on those cells and adjusts the
+source's row lengths; the cost is one copy of the map and of the domino
+tuple, plus checks on the moved cells alone.  A relocation that fails goes
+to the full constructor, so it is refused with the constructor's own
+message.  Insertion and ``cycles.all_cycles`` run the same rule on the
+cells their moves change.
 
 Tableaux are immutable values; "mutating" helpers return new objects that
 share the unchanged dominoes.  Labels are normally 1..m, which
@@ -33,8 +46,10 @@ gaps is asked for with require_contiguous=False.  A relocation
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from operator import attrgetter
+from typing import Iterable, Mapping, Sequence
 
 from .partitions import Partition, check_group_type
 
@@ -43,6 +58,10 @@ Cell = tuple[int, int]
 
 class TableauError(ValueError):
     pass
+
+
+class _NotIntError(TableauError, TypeError):
+    """Domino's refusal of a label or cell that is not an int."""
 
 
 def core_cells(lie_type: str) -> tuple[Cell, ...]:
@@ -58,7 +77,7 @@ def _malformed_cells(label: int, cells) -> TableauError:
         cs = None
     if cs is not None and len(cs) != 2:
         return TableauError(f"domino {label} needs exactly two cells, got {cs}")
-    return TableauError(
+    return _NotIntError(
         f"domino {label} cells must be two (row, column) pairs of ints, got {cells!r}"
     )
 
@@ -71,7 +90,7 @@ class Domino:
     def __post_init__(self) -> None:
         label = self.label
         if type(label) is not int:
-            raise TableauError(f"domino label must be an int, got {label!r}")
+            raise _NotIntError(f"domino label must be an int, got {label!r}")
         if label < 1:
             raise TableauError(f"domino label must be positive, got {label}")
         try:
@@ -112,6 +131,16 @@ def shape_of_cells(cells: Iterable[Cell]) -> Partition:
     return tuple(rows[r] for r in sorted(rows))
 
 
+_label_of = attrgetter("label")
+
+
+def _position(dominoes: Sequence[Domino], label: int) -> int:
+    """The index of label's domino among dominoes in ascending label
+    order, or -1."""
+    i = bisect_left(dominoes, label, key=_label_of)
+    return i if i < len(dominoes) and dominoes[i].label == label else -1
+
+
 @dataclass(frozen=True)
 class DominoTableau:
     lie_type: str
@@ -140,21 +169,34 @@ class DominoTableau:
             raise TableauError(f"labels not strictly increasing: {labels}")
         # owner lists the cells in ascending label order, so the first
         # misplaced cell names the first prefix that is not a Young diagram
-        bad = misplaced_cell(owner.get, owner)
+        bad = misplaced_cell(owner, owner)
         if bad is not None:
             raise TableauError(f"cells up to label {owner[bad]} do not form a Young diagram")
         object.__setattr__(self, "dominoes", dominoes)
         object.__setattr__(self, "_owner", owner)
         object.__setattr__(self, "_shape", shape_of_cells(owner))
 
+    @classmethod
+    def _checked(
+        cls, lie_type: str, dominoes: tuple[Domino, ...], owner: dict[Cell, int], shape: Partition
+    ) -> DominoTableau:
+        """A tableau whose layout its caller has checked, with the owner map
+        and the shape that the check built."""
+        tab = object.__new__(cls)
+        object.__setattr__(tab, "lie_type", lie_type)
+        object.__setattr__(tab, "dominoes", dominoes)
+        object.__setattr__(tab, "_owner", owner)
+        object.__setattr__(tab, "_shape", shape)
+        return tab
+
     def labels(self) -> tuple[int, ...]:
         return tuple(d.label for d in self.dominoes)
 
     def domino(self, label: int) -> Domino:
-        for d in self.dominoes:
-            if d.label == label:
-                return d
-        raise KeyError(f"no domino labeled {label}")
+        i = _position(self.dominoes, label)
+        if i < 0:
+            raise KeyError(f"no domino labeled {label}")
+        return self.dominoes[i]
 
     def cells(self) -> frozenset[Cell]:
         return frozenset(self._owner)
@@ -175,20 +217,50 @@ class DominoTableau:
         return shape_of_cells(cells)
 
 
-def misplaced_cell(label_at: Callable[[Cell], int | None], cells: Iterable[Cell]) -> Cell | None:
-    """The first of ``cells`` that carries a label while its upper or left
-    neighbour inside the quadrant is missing (``label_at`` gives None) or
-    has a larger label; None when there is no such cell."""
-    for r, c in cells:
-        lbl = label_at((r, c))
+def misplaced_cell(owner: Mapping[Cell, int], cells: Iterable[Cell]) -> Cell | None:
+    """The first of ``cells`` that carries a label in ``owner`` while its
+    upper or left neighbour inside the quadrant is unlabelled or has a
+    larger label; None when there is no such cell."""
+    get = owner.get
+    for cell in cells:
+        lbl = get(cell)
         if lbl is None:
             continue
-        for nb in ((r - 1, c), (r, c - 1)):
-            if nb[0] >= 1 and nb[1] >= 1:
-                got = label_at(nb)
-                if got is None or got > lbl:
-                    return (r, c)
+        r, c = cell
+        if r > 1:
+            up = get((r - 1, c))
+            if up is None or up > lbl:
+                return cell
+        if c > 1:
+            left = get((r, c - 1))
+            if left is None or left > lbl:
+                return cell
     return None
+
+
+def move_cells(
+    owner: dict[Cell, int],
+    old: Mapping[int, Iterable[Cell]],
+    new: Mapping[int, Iterable[Cell]],
+) -> list[Cell] | None:
+    """Move each label of ``new`` in the owner map, in place, from its
+    ``old`` cells to its new ones.  Returns the cells whose standardness the
+    move can change: the placed cells and the cells right of or below a
+    vacated or placed one.  Returns None, leaving the map part-way, when a
+    new cell lies off the quadrant or on a cell that stays taken."""
+    touched: list[Cell] = []
+    for lbl in new:
+        for r, c in old[lbl]:
+            del owner[(r, c)]
+            touched += ((r + 1, c), (r, c + 1))
+    for lbl, cells in new.items():
+        for cell in cells:
+            r, c = cell
+            if r < 1 or c < 1 or cell in owner:
+                return None
+            owner[cell] = lbl
+            touched += (cell, (r + 1, c), (r, c + 1))
+    return touched
 
 
 def make_tableau(
@@ -210,9 +282,35 @@ def make_tableau(
 
 def replace_cells(tableau: DominoTableau, moves: Mapping[int, Iterable[Cell]]) -> DominoTableau:
     """New tableau with the given labels relocated; the other dominoes are
-    shared, and the constructor checks the new layout."""
-    ds = (Domino(d.label, moves[d.label]) if d.label in moves else d for d in tableau.dominoes)
-    return DominoTableau(tableau.lie_type, tuple(ds))
+    shared.  Only the relocated dominoes and the cells the move can change
+    are checked, on a copy of the source's owner map; a relocation that
+    fails that check goes to the full constructor, which refuses it with
+    its own message."""
+    ds = list(tableau.dominoes)
+    old: dict[int, tuple[Cell, Cell]] = {}
+    new: dict[int, tuple[Cell, Cell]] = {}
+    for lbl in sorted(moves):
+        i = _position(ds, lbl)
+        if i >= 0:
+            old[lbl] = ds[i].cells
+            ds[i] = Domino(lbl, moves[lbl])
+            new[lbl] = ds[i].cells
+    dominoes = tuple(ds)
+    owner = dict(tableau._owner)
+    touched = move_cells(owner, old, new)
+    if touched is None or misplaced_cell(owner, touched) is not None:
+        return DominoTableau(tableau.lie_type, dominoes)
+    rows = list(tableau._shape)
+    for cells in old.values():
+        for r, _ in cells:
+            rows[r - 1] -= 1
+    for cells in new.values():
+        for r, _ in cells:
+            rows.extend([0] * (r - len(rows)))
+            rows[r - 1] += 1
+    while rows and not rows[-1]:
+        rows.pop()
+    return DominoTableau._checked(tableau.lie_type, dominoes, owner, tuple(rows))
 
 
 def render(tableau: DominoTableau) -> str:
@@ -241,22 +339,14 @@ def to_json_dict(tableau: DominoTableau) -> dict:
     }
 
 
-def _json_int(value) -> int:
-    """A JSON integer, as to_json_dict writes one; no float or bool."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"not an integer: {value!r}")
-    return value
-
-
 def from_json_dict(doc: dict) -> DominoTableau:
     if not isinstance(doc, dict) or not isinstance(doc.get("dominoes"), list) or "type" not in doc:
         raise TableauError(f"malformed tableau document: {doc!r}")
     ds = []
     for entry in doc["dominoes"]:
         try:
-            cells = [(_json_int(r), _json_int(c)) for r, c in entry["cells"]]
-            ds.append((_json_int(entry["label"]), cells))
-        except (KeyError, TypeError, ValueError) as exc:
+            ds.append(Domino(entry["label"], entry["cells"]))
+        except (KeyError, TypeError) as exc:  # TypeError includes Domino's int rule
             raise TableauError(f"malformed domino entry {entry!r}") from exc
     return make_tableau(doc["type"], ds)
 

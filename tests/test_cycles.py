@@ -1,5 +1,8 @@
 import gc
+import hashlib
 import itertools
+import json
+import random
 import time
 import weakref
 from functools import lru_cache
@@ -9,6 +12,9 @@ import pytest
 from domino_tableaux.cycles import (
     Coloring,
     Cycle,
+    _cycle_with,
+    _is_standard_move,
+    _moved_position,
     _open_by_square,
     all_cycles,
     cycle_of,
@@ -33,6 +39,7 @@ from domino_tableaux.tableau import (
     make_tableau,
     serialize,
 )
+from test_insertion import random_signed_perm
 
 NATIVE = Coloring.NATIVE
 TYPE_D = Coloring.TYPE_D
@@ -100,9 +107,11 @@ def _sdt_of_rank(n, lie_type):
     return [tab for shape in partitions_of(size) for tab in all_sdt(shape, lie_type)]
 
 
-def box_tableau(k):
-    """k side-by-side 2x2 boxes, each filled by two vertical dominoes."""
-    return C(*[(i, ((1, i), (2, i))) for i in range(1, 2 * k + 1)])
+def box_tableau(k, offset=0):
+    """k side-by-side 2x2 boxes, each filled by two vertical dominoes, with
+    labels offset+1..offset+2k."""
+    dominoes = [(offset + i, ((1, i), (2, i))) for i in range(1, 2 * k + 1)]
+    return make_tableau("C", dominoes, require_contiguous=offset == 0)
 
 
 SINGLE_H = C((1, ((1, 1), (1, 2))))
@@ -326,6 +335,81 @@ def test_local_move_agrees_with_search(t, n):
                     moved = move_through_set(tab, subset)
                     produced.add(frozenset((d.label, d.cells) for d in moved.dominoes))
             assert produced == {frozenset(a) for a in _retilings(tab, col)}
+
+
+def _cycle_doc(cy):
+    fields = (cy.coloring.value, cy.open, cy.hole, cy.corner, cy.down, cy.boxed, cy.moves)
+    return [list(cy.labels), *fields]
+
+
+@pytest.mark.parametrize("t", ["C", "B"])
+def test_cycle_of_walks_to_the_all_cycles_answer(t):
+    # cycle_of walks one component; it must give the very cycle that
+    # all_cycles builds from every component, moves included, for every
+    # label of every standard tableau of rank <= 6 and of the 2x2-box family
+    # with labels that do not start at 1
+    tableaux = [tab for n in range(7) for tab in _sdt_of_rank(n, t)]
+    if t == "C":
+        tableaux += [box_tableau(k, offset) for k in range(1, 9) for offset in (0, 3 * k)]
+    for tab in tableaux:
+        for col in Coloring:
+            cycles = all_cycles(tab, col)
+            for k in tab.labels():
+                got, want = cycle_of(tab, k, col), _cycle_with(cycles, k)
+                assert got == want and got.moves == want.moves and got.source is tab
+    with pytest.raises(KeyError, match="no domino labeled 9"):
+        cycle_of(T31, 9, NATIVE)
+
+
+def test_standardness_test_restores_its_scratch_map():
+    # all_cycles tries each component's move on one scratch copy of the
+    # owner map; every try, standard or not, must leave the copy as it was
+    verdicts = set()
+    for t in ("C", "B"):
+        for n in range(1, 5):
+            for tab in _sdt_of_rank(n, t):
+                owner = tab.cell_owner()
+                scratch = dict(owner)
+                original = {d.label: d.cells for d in tab.dominoes}
+                for col in Coloring:
+                    moved = {d.label: _moved_position(d, owner, col) for d in tab.dominoes}
+                    for size in (1, 2):
+                        for labels in itertools.combinations(original, size):
+                            step = {k: moved[k] for k in labels}
+                            verdicts.add(_is_standard_move(scratch, original, step))
+                            assert scratch == owner, (tab, col, step)
+    assert verdicts == {True, False}
+
+
+# sha256 over all_cycles in both colorings, the move through each cycle, and
+# cycle_of on the moved tableau, for both tableaux of 5 seeded rs pairs at
+# each of the ranks 16 and 64; a speed change to the cycle engine must leave
+# these answers alone.
+CYCLE_DIGESTS = {
+    "C": "7e6bc653d7094a6f06693ec2af96f02022af99a6e522efa3765fa1b69c7e20fa",
+    "B": "b2f55584a20d225aa31733a2230a219f0d3b2545477a12d434715092de0f6186",
+}
+
+
+def cycle_digest(t):
+    rng = random.Random(f"cycles-digest-{t}")
+    digest = hashlib.sha256()
+    for n in (16, 64):
+        for _ in range(5):
+            pair = rs(random_signed_perm(rng, n), t)
+            for tab in (pair.left, pair.right):
+                for col in Coloring:
+                    for cy in all_cycles(tab, col):
+                        moved = move_through(tab, cy)
+                        back = cycle_of(moved, cy.labels[-1], col)
+                        doc = [_cycle_doc(cy), serialize(moved), _cycle_doc(back)]
+                        digest.update(json.dumps(doc).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("t", ["C", "B"])
+def test_cycle_answers_are_pinned(t):
+    assert cycle_digest(t) == CYCLE_DIGESTS[t]
 
 
 @pytest.mark.parametrize("col", list(Coloring))

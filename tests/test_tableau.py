@@ -239,8 +239,10 @@ def test_local_rule_matches_prefix_oracle():
 
 
 def test_kept_views_match_the_dominoes():
-    # shape(), cells() and cell_owner() read what the constructor kept;
-    # each must equal a recomputation from the dominoes alone
+    # shape(), cells() and cell_owner() read what the constructor kept, or
+    # what replace_cells derived from its source's; each must equal a
+    # recomputation from the dominoes alone
+    from domino_tableaux.cycles import Coloring, all_cycles, move_through
     from domino_tableaux.enumeration import all_sdt
     from domino_tableaux.partitions import partitions_of
 
@@ -255,16 +257,88 @@ def test_kept_views_match_the_dominoes():
             for shape in partitions_of(2 * n + core):
                 tableaux.extend(all_sdt(shape, t))
     assert len(tableaux) == 1 + 2 * (1 + 2 + 6 + 20 + 76 + 312)
+    relocated = [replace_cells(gapped, {7: ((2, 1), (2, 2)), 9: ((3, 1), (3, 2))})]
     for tab in tableaux:
+        for col in Coloring:
+            relocated.extend(move_through(tab, cy) for cy in all_cycles(tab, col) if cy.moves)
+    assert len(relocated) > 2000
+    for tab in tableaux + relocated:
         owner = {c: 0 for c in core_cells(tab.lie_type)}
         for d in tab.dominoes:
             owner.update(dict.fromkeys(d.cells, d.label))
         rows = max((r for r, _ in owner), default=0)
         shape = tuple(sum(1 for r, _ in owner if r == row) for row in range(1, rows + 1))
-        assert list(tab.cell_owner().items()) == list(owner.items())
+        assert tab.cell_owner() == owner
         assert tab.cells() == frozenset(owner)
         assert tab.shape() == tab.sub_shape(len(tab.dominoes)) == shape
-    assert gapped.shape() == (5, 1, 1)
+    # the constructor's map lists the cells in label order
+    for tab in tableaux:
+        assert list(tab.cell_owner().values()) == sorted(tab.cell_owner().values())
+    assert gapped.shape() == (5, 1, 1) and relocated[0].shape() == (3, 2, 2)
+
+
+def _relocation(rng, tab):
+    """New cells for 1-3 labels of tab: a random position near the shape,
+    a turn or shift about one of the label's cells, or another chosen
+    label's cells."""
+    labels = rng.sample(tab.labels(), min(len(tab.dominoes), rng.randint(1, 3)))
+    rows, cols = len(tab.shape()) + 1, tab.shape()[0] + 1
+    moves = {}
+    for k in labels:
+        kind = rng.randrange(3)
+        if kind == 0:
+            r, c = rng.randint(1, rows), rng.randint(1, cols)
+            moves[k] = ((r, c), (r, c + 1) if rng.random() < 0.5 else (r + 1, c))
+        elif kind == 1:
+            r, c = rng.choice(tab.domino(k).cells)
+            moves[k] = ((r, c), rng.choice(((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))))
+        else:
+            moves[k] = tab.domino(rng.choice(labels)).cells
+    return moves
+
+
+def test_replace_cells_matches_the_constructor(monkeypatch):
+    # replace_cells checks only the cells a relocation can change; on
+    # seeded relocations of every standard tableau of rank <= 5 it must
+    # accept exactly what the full constructor accepts, build an equal
+    # tableau with equal views without running the full check, and refuse
+    # with the full check's message
+    from domino_tableaux.enumeration import all_sdt
+    from domino_tableaux.partitions import partitions_of
+
+    full = []
+    check = DominoTableau.__post_init__
+    monkeypatch.setattr(DominoTableau, "__post_init__", lambda t: full.append(t) or check(t))
+    rng = random.Random(20261019)
+    verdicts = []
+    for t, core in (("C", 0), ("B", 1)):
+        for n in range(1, 6):
+            for shape in partitions_of(2 * n + core):
+                for tab in all_sdt(shape, t):
+                    for _ in range(6):
+                        moves = _relocation(rng, tab)
+                        try:
+                            ds = tuple(
+                                Domino(d.label, moves[d.label]) if d.label in moves else d
+                                for d in tab.dominoes
+                            )
+                            want, why = DominoTableau(t, ds), None
+                        except TableauError as exc:
+                            want, why = None, str(exc)
+                        del full[:]
+                        try:
+                            got, err = replace_cells(tab, moves), None
+                        except TableauError as exc:
+                            got, err = None, str(exc)
+                        assert err == why, (tab, moves)
+                        if want is not None:
+                            assert full == [] and got == want
+                            assert got.shape() == want.shape() and got.cells() == want.cells()
+                            assert got.cell_owner() == want.cell_owner()
+                        verdicts.append(why)
+    refusals = {why.split(" ")[0] for why in verdicts if why}
+    assert refusals == {"cell", "cells", "domino"}  # overlap, prefix, Domino
+    assert verdicts.count(None) > 600 and len(verdicts) - verdicts.count(None) > 2000
 
 
 def test_cell_owner_is_a_fresh_copy():
