@@ -25,6 +25,7 @@ from .cycles import (
 from .enumeration import SUITE_NAMES, count_sdt, verify_suite
 from .insertion import (
     pair_deserialize,
+    pair_from_json_dict,
     pair_to_json_dict,
     rs,
     rs_inverse,
@@ -38,7 +39,7 @@ from .operators import (
 from .partitions import format_partition, parse_partition
 from .pipeline import orbital_tableau, special_projection
 from .signed_perm import format_perm, parse_perm
-from .tableau import deserialize, render, to_json_dict
+from .tableau import deserialize, from_json_dict, render, to_json_dict
 
 # equal-length acts on the group element, the others on the pair
 _PAIR_OPERATORS = {
@@ -46,6 +47,7 @@ _PAIR_OPERATORS = {
     "type-d": wall_cross_type_d,
 }
 OPERATOR_NAMES = ("equal-length", *_PAIR_OPERATORS)
+COUNT_MAX_CELLS = 10_000  # count_sdt is quadratic in cells: 0.5 s for a 10,000-cell hook
 
 
 class UsageError(Exception):
@@ -163,13 +165,13 @@ def _cmd_move(args) -> int:
     if not isinstance(doc, dict):
         raise UsageError("input must be a tableau or pair JSON object")
     if "left" in doc:
-        pair = pair_deserialize(text)
+        pair = pair_from_json_dict(doc)
         if len(labels) != 1:
             raise UsageError("extended moves take a single label")
         out = move_through_extended(pair, labels[0], coloring)
         _emit(args, pair_to_json_dict(out), _pair_ascii(out))
         return 0
-    tab = deserialize(text)
+    tab = from_json_dict(doc)
     cycles = {cycle_of(tab, k, coloring) for k in labels}
     moved = move_through_set(tab, cycles)
     _emit(args, to_json_dict(moved), render(moved))
@@ -194,6 +196,8 @@ def _cmd_count(args) -> int:
         shape = parse_partition(_read_input(args.shape))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if sum(shape) > COUNT_MAX_CELLS:
+        raise UsageError(f"shape has {sum(shape)} cells; count takes at most {COUNT_MAX_CELLS}")
     value = count_sdt(shape, args.type)
     doc = {"shape": list(shape), "type": args.type, "count": value}
     _emit(args, doc, str(value))

@@ -10,7 +10,7 @@ vertical); one covered on a single cell twists around its surviving cell.
 A domino that nothing covers never moves, so one insertion touches only the
 dominoes on its bumping path.
 
-The kernel keeps the whole word's layout (label -> domino) and owner map
+The kernel keeps the whole word's layout (label -> cells) and owner map
 (cell -> label, 0 for the type-B core) and changes both in place.  A heap
 holds the labels that placed cells have covered; a domino that is not hit
 is never visited.  When label k is bumped, every label below k already sits
@@ -19,13 +19,14 @@ where it ends up, so the owner map's cells of label < k form the standard
 is therefore the number of leading cells in that line with a label below k,
 read without scanning the rest of the tableau.
 
-After each letter the standardness rule of ``tableau.misplaced_cell`` runs
-on the moved cells and their right and lower neighbours; with each moved
-domino built (and so checked) as a ``Domino`` and an overlap check as cells
-are claimed, every intermediate tableau is verified standard.  The finished
-pair goes through ``make_tableau`` and ``TableauPair`` once; the tableau
-constructor checks its layout and reuses the dominoes as they are, and the
-pair compares the shapes that the two tableau checks kept.
+Each position the kernel writes is two edge-adjacent quadrant cells,
+sorted row-major, by construction: the placements ((1, n+1), (1, n+2)) and
+((n+1, 1), (n+2, 1)), and the slides and twists of a bump.  So the kernel
+builds no ``Domino``.  It checks for overlap as cells are claimed and, after
+each letter, runs ``tableau.misplaced_cell`` on the moved cells and their
+right and lower neighbours, so every intermediate tableau is verified
+standard.  The finished pair goes through ``make_tableau`` and
+``TableauPair`` once: each result ``Domino`` is built, and checked, once.
 
 The inverse runs the bumping backwards while tracking the two-cell region
 by which the tableau differs from the one before the letter: the next
@@ -44,7 +45,6 @@ from dataclasses import dataclass
 from .signed_perm import SignedPerm, as_signed_perm
 from .tableau import (
     Cell,
-    Domino,
     DominoTableau,
     TableauError,
     core_cells,
@@ -53,6 +53,8 @@ from .tableau import (
     misplaced_cell,
     to_json_dict,
 )
+
+_Layout = dict[int, tuple[Cell, Cell]]  # label -> its two cells, sorted row-major
 
 
 @dataclass(frozen=True)
@@ -88,26 +90,26 @@ def _leading(owner: dict[Cell, int], cell: Cell, horizontal: bool, bound: int) -
             r += 1
 
 
-def _bumped(owner: dict[Cell, int], d: Domino) -> tuple[Cell, Cell]:
-    """Where domino d goes once a smaller label has covered its cells."""
-    (r, c), _ = d.cells
-    covered1, covered2 = (owner[cell] != d.label for cell in d.cells)
-    if d.horizontal:
+def _bumped(owner: dict[Cell, int], label: int, cells: tuple[Cell, Cell]) -> tuple[Cell, Cell]:
+    """Where domino ``label`` goes from ``cells`` once a smaller label covers them."""
+    (r, c), (r2, _) = cells
+    covered1, covered2 = (owner[cell] != label for cell in cells)
+    if r == r2:
         if covered1 and covered2:
-            n = _leading(owner, (r + 1, 1), True, d.label)
+            n = _leading(owner, (r + 1, 1), True, label)
             return ((r + 1, n + 1), (r + 1, n + 2))
         if covered1:
             return ((r, c + 1), (r + 1, c + 1))
-        raise TableauError(f"domino {d.label}: right cell covered but left free")
+        raise TableauError(f"domino {label}: right cell covered but left free")
     if covered1 and covered2:
-        n = _leading(owner, (1, c + 1), False, d.label)
+        n = _leading(owner, (1, c + 1), False, label)
         return ((n + 1, c + 1), (n + 2, c + 1))
     if covered1:
         return ((r + 1, c), (r + 1, c + 1))
-    raise TableauError(f"domino {d.label}: bottom cell covered but top free")
+    raise TableauError(f"domino {label}: bottom cell covered but top free")
 
 
-def _insert(layout: dict[int, Domino], owner: dict[Cell, int], value: int) -> list[Cell]:
+def _insert(layout: _Layout, owner: dict[Cell, int], value: int) -> list[Cell]:
     """Insert one signed value, whose label the layout does not hold yet,
     into the layout and owner map in place, moving only the dominoes on its
     bumping path; returns the two cells by which the tableau grew."""
@@ -119,8 +121,8 @@ def _insert(layout: dict[int, Domino], owner: dict[Cell, int], value: int) -> li
     touched: set[Cell] = set()
     k = last = label
     while True:
-        d = layout[k] = Domino(k, cells)
-        for cell in d.cells:
+        layout[k] = cells
+        for cell in cells:
             prev = owner.get(cell)
             if prev is None:
                 grown.append(cell)
@@ -137,7 +139,7 @@ def _insert(layout: dict[int, Domino], owner: dict[Cell, int], value: int) -> li
         if not hits:
             break
         k = last = heapq.heappop(hits)
-        cells = _bumped(owner, layout[k])
+        cells = _bumped(owner, k, layout[k])
     bad = misplaced_cell(owner, touched)
     if bad is not None:
         raise TableauError(f"cells up to label {owner[bad]} do not form a Young diagram")
@@ -147,28 +149,21 @@ def _insert(layout: dict[int, Domino], owner: dict[Cell, int], value: int) -> li
 def rs(w: SignedPerm, lie_type: str) -> TableauPair:
     """The full correspondence: insertion tableau and recording tableau."""
     w = as_signed_perm(w)
-    try:
-        owner = {c: 0 for c in core_cells(lie_type)}
-    except ValueError as exc:
-        raise TableauError(str(exc)) from None
-    layout: dict[int, Domino] = {}
-    recording = [
-        Domino(step, _insert(layout, owner, value)) for step, value in enumerate(w, start=1)
-    ]
-    left = make_tableau(lie_type, layout.values())
+    owner = {c: 0 for c in core_cells(lie_type)}
+    layout: _Layout = {}
+    recording = [(step, _insert(layout, owner, value)) for step, value in enumerate(w, start=1)]
+    left = make_tableau(lie_type, layout.items())
     right = make_tableau(lie_type, recording)
     return TableauPair(left, right)
 
 
-def _uninsert(
-    work: dict[int, tuple[Cell, Cell]], owner: dict[Cell, int], delta: tuple[Cell, Cell]
-) -> int:
+def _uninsert(work: _Layout, owner: dict[Cell, int], delta: tuple[Cell, Cell]) -> int:
     """Undo the last insertion in place, given the recording domino's cells;
     returns the extracted signed value.  ``owner`` stays as the insertion
     left it until the letter is found, because each unslide measures the
     prefix the forward slide saw; then both maps are brought up to date."""
     region = set(delta)
-    undone: dict[int, tuple[Cell, Cell]] = {}
+    undone: _Layout = {}
     k = max(work, default=0) + 1
     while True:
         below = [lbl for lbl in map(owner.get, region) if lbl and lbl < k]

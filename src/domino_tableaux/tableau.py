@@ -65,7 +65,10 @@ class _NotIntError(TableauError, TypeError):
 
 
 def core_cells(lie_type: str) -> tuple[Cell, ...]:
-    check_group_type(lie_type)
+    try:
+        check_group_type(lie_type)
+    except ValueError as exc:
+        raise TableauError(str(exc)) from None
     return ((1, 1),) if lie_type == "B" else ()
 
 
@@ -151,10 +154,7 @@ class DominoTableau:
     _shape: Partition = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        try:
-            owner: dict[Cell, int] = {c: 0 for c in core_cells(self.lie_type)}
-        except ValueError as exc:
-            raise TableauError(str(exc)) from None
+        owner: dict[Cell, int] = {c: 0 for c in core_cells(self.lie_type)}
         dominoes = tuple(self.dominoes)
         for d in dominoes:
             if not isinstance(d, Domino):

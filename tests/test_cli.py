@@ -1,12 +1,13 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domino_tableaux.cli import OPERATOR_NAMES, main
+from domino_tableaux.cli import COUNT_MAX_CELLS, OPERATOR_NAMES, main
 from domino_tableaux.cycles import Coloring, move_through_extended
 from domino_tableaux.enumeration import SUITE_NAMES
 from domino_tableaux.insertion import pair_serialize, pair_to_json_dict, rs
@@ -281,6 +282,21 @@ def test_count_malformed_shape_is_usage_error(capsys, shape):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cells", [COUNT_MAX_CELLS + 2, 99999999999])
+def test_count_refuses_shapes_above_the_cell_cap(capsys, cells):
+    # counting a one-row shape of 10**11 cells would take minutes and gigabytes
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--type", "C", f"[{cells}]"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and elapsed < 1
+    assert f"shape has {cells} cells; count takes at most {COUNT_MAX_CELLS}" in err
+    assert "Traceback" not in err
+    code, out, _ = run(capsys, "count", "--type", "C", f"[{COUNT_MAX_CELLS}]")
+    assert code == 0 and json.loads(out)["count"] == 1
+
+
 def test_move_unknown_label_prints_plain_message(capsys):
     text = serialize(rs((2, -1), "C").left)
     code, out, err = run(capsys, "move", text, "--label", "0")
@@ -314,7 +330,7 @@ _C_LEFT = to_json_dict(_C_PAIR.left)
 # or pair JSON, valid and malformed.
 FUZZ_INPUTS = (
     "2 -1", "-1 2", "3 -1 2", "1 2 3", "2 2", "0", "", "x", "-",
-    "[2,2]", "[3,1]", "[3]", "[2,x]", "[]", "[1,3]",
+    "[2,2]", "[3,1]", "[3]", "[2,x]", "[]", "[1,3]", "[99999999999]",
     serialize(_C_PAIR.left),
     serialize(_B_PAIR.right),
     pair_serialize(_C_PAIR),

@@ -305,6 +305,26 @@ def test_rs_answers_are_pinned(t):
 
 
 @pytest.mark.parametrize("t", ["C", "B"])
+@pytest.mark.parametrize("n", [16, 64])
+def test_rs_builds_each_domino_once(t, n, monkeypatch):
+    # the kernel moves plain cells; only the two result tableaux build, and
+    # so check, their dominoes
+    built = []
+    check = Domino.__post_init__
+
+    def counted(d):
+        built.append(d.label)
+        check(d)
+
+    monkeypatch.setattr(Domino, "__post_init__", counted)
+    rng = random.Random(f"builds-{t}{n}")
+    for _ in range(5):
+        built.clear()
+        rs(random_signed_perm(rng, n), t)
+        assert sorted(built) == sorted(2 * list(range(1, n + 1)))
+
+
+@pytest.mark.parametrize("t", ["C", "B"])
 def test_rs_round_trip_scales_on_rank_512(t):
     w = random_signed_perm(random.Random(512), 512)
     start = time.perf_counter()

@@ -112,6 +112,9 @@ def test_tableau_takes_any_iterable_of_dominoes():
 def test_core():
     assert core_cells("C") == ()
     assert core_cells("B") == ((1, 1),)
+    # the one translation of the type error, for the constructor and rs alike
+    with pytest.raises(TableauError, match="^unknown group type 'A'; expected 'B' or 'C'$"):
+        core_cells("A")
     t = make_tableau("B", [(1, ((1, 2), (1, 3)))])
     assert (1, 1) in t.cells()
     assert t.cell_owner()[(1, 1)] == 0
