@@ -33,8 +33,6 @@ def as_partition(parts: Iterable[int]) -> Partition:
             raise ValueError(f"parts not weakly decreasing: {seq}")
     if seq and seq[-1] < 0:
         raise ValueError(f"negative part in {seq}")
-    if any(p <= 0 for p in seq):
-        raise ValueError(f"zero part inside {seq}")
     return tuple(seq)
 
 
@@ -86,9 +84,11 @@ def n_statistic(lam: Partition) -> int:
 
 
 def transpose(lam: Partition) -> Partition:
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
+    """Part j counts the rows of length >= j; columns lam_(i+1) + 1 .. lam_i have length i."""
+    columns: list[int] = []
+    for i in range(len(lam), 0, -1):
+        columns += [i] * (lam[i - 1] - len(columns))
+    return tuple(columns)
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
@@ -164,8 +164,7 @@ def orbit_dual(lam: Partition, group_type: str) -> Partition:
 
 
 def is_special(lam: Partition, group_type: str) -> bool:
-    """True for orbit partitions fixed by the square of the duality."""
+    """True for orbit partitions whose transpose is one too (Collingwood and
+    McGovern, Nilpotent Orbits in Semisimple Lie Algebras, 1993, Prop. 6.3.7)."""
     lam = as_partition(lam)
-    if not is_orbit_partition(lam, group_type):
-        return False
-    return orbit_dual(orbit_dual(lam, group_type), group_type) == lam
+    return is_orbit_partition(lam, group_type) and is_orbit_partition(transpose(lam), group_type)

@@ -6,8 +6,10 @@ through admissible open cycles — either coloring, hole and corner in rows of
 odd length for type C or even length for type B, shape strictly lowered in
 dominance order — until the shape is an orbit partition.  The resulting
 partition labels the nilpotent orbit attached to the element; the tableau
-parametrizes its orbital variety.  A deterministic preference picks among
-the admissible moves, which keeps traces reproducible.  That the move order
+parametrizes its orbital variety.  Among the admissible moves it takes the
+one with the greatest key (target shape in lex order, minus the cycle's
+smallest label, native coloring), which keeps traces reproducible; the
+lex-greatest target is also dominance-maximal.  That the move order
 does not affect the result is verified through rank 4 only; at rank 5 some
 tableaux reach two different terminal tableaux.
 
@@ -26,13 +28,7 @@ from dataclasses import dataclass
 
 from .cycles import Coloring, Cycle, all_cycles, move_through, move_through_set
 from .insertion import rs
-from .partitions import (
-    Partition,
-    dominates,
-    is_orbit_partition,
-    is_special,
-    n_statistic,
-)
+from .partitions import Partition, is_orbit_partition, is_special, n_statistic
 from .signed_perm import SignedPerm
 from .tableau import DominoTableau
 
@@ -88,18 +84,15 @@ def candidate_moves(tableau: DominoTableau) -> list[tuple[Cycle, Partition]]:
 
 
 def _preferred(moves: list[tuple[Cycle, Partition]]) -> tuple[Cycle, Partition]:
-    """Dominance-maximal target shape (lex-greatest among incomparables);
-    ties broken by smallest label, then native coloring first."""
-    maximal = [
-        m
-        for m in moves
-        if not any(o[1] != m[1] and dominates(o[1], m[1]) for o in moves)
-    ]
-    top = max(m[1] for m in maximal)
-    tied = [m for m in maximal if m[1] == top]
-    return min(
-        tied,
-        key=lambda m: (min(m[0].labels), m[0].coloring is Coloring.TYPE_D),
+    """The move with the greatest key (target shape, -min label, native).
+
+    The lex-greatest target is dominance-maximal: a shape that strictly
+    dominates another is larger in the first part where they differ.  Within
+    one coloring the min label names a unique cycle, so the key has no ties.
+    """
+    return max(
+        moves,
+        key=lambda m: (m[1], -min(m[0].labels), m[0].coloring is Coloring.NATIVE),
     )
 
 

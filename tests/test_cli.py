@@ -1,6 +1,8 @@
 import contextlib
+import decimal
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from domino_tableaux.cli import COUNT_MAX_CELLS, OPERATOR_NAMES, main
 from domino_tableaux.cycles import Coloring, move_through_extended
-from domino_tableaux.enumeration import SUITE_NAMES
+from domino_tableaux.enumeration import SUITE_NAMES, count_sdt
 from domino_tableaux.insertion import pair_serialize, pair_to_json_dict, rs
 from domino_tableaux.pipeline import special_projection
 from domino_tableaux.tableau import serialize, to_json_dict
@@ -296,6 +298,19 @@ def test_count_refuses_shapes_above_the_cell_cap(capsys, cells):
     code, out, _ = run(capsys, "count", "--type", "C", f"[{COUNT_MAX_CELLS}]")
     assert code == 0 and json.loads(out)["count"] == 1
 
+
+def test_count_prints_counts_of_any_length(capsys):
+    # the 100 x 100 square's count has 8,078 digits, past the 4,300 that
+    # str() and json.dumps allow; the digits are read back as a Decimal
+    square = "[" + ",".join(["100"] * 100) + "]"
+    value = decimal.Decimal(count_sdt((100,) * 100, "C"))
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "count", "--type", "C", square)
+    assert code == 0
+    assert json.loads(out, parse_int=decimal.Decimal)["count"] == value
+    code, out, _ = run(capsys, "count", "--type", "C", "--format", "ascii", square)
+    assert code == 0 and out == f"{value}\n"
+    assert sys.get_int_max_str_digits() == limit
 
 def test_move_unknown_label_prints_plain_message(capsys):
     text = serialize(rs((2, -1), "C").left)

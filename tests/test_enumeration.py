@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from functools import lru_cache
 
 import pytest
@@ -62,6 +63,17 @@ def test_count_large_staircase():
     shape = tuple(part for k in range(7, 0, -1) for part in (2 * k, 2 * k))
     assert sum(shape) == 112
     assert count_sdt(shape, "C") == math.comb(56, 28) * 48608795688960**2
+
+
+def test_count_is_one_pass_on_a_wide_hook():
+    # one pass over 20,000 cells; a transpose that scans every row for each
+    # column takes about 1 s here.  Domino 1 lies in row 1, so the other
+    # 4,999 row dominoes and the 5,000 column dominoes interleave freely.
+    shape = (10000,) + (1,) * 10000
+    start = time.perf_counter()
+    count = count_sdt(shape, "C")
+    assert time.perf_counter() - start < 0.5
+    assert count == math.comb(9999, 4999)
 
 
 @pytest.mark.parametrize("t", ["C", "B"])

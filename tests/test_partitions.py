@@ -92,6 +92,10 @@ def test_transpose_involution(parts):
     lam = as_partition(sorted(parts, reverse=True))
     assert transpose(transpose(lam)) == lam
     assert sum(transpose(lam)) == sum(lam)
+    columns = lam[0] if lam else 0
+    assert transpose(lam) == tuple(
+        sum(1 for part in lam if part >= j) for j in range(1, columns + 1)
+    )
 
 
 def test_orbit_partition_predicate():
@@ -178,10 +182,12 @@ def test_special_frozen_values():
 
 
 def test_special_iff_fixed_by_double_dual():
-    for group_type, size in (("C", 8), ("B", 9)):
-        for lam in partitions_of(size):
-            if not is_orbit_partition(lam, group_type):
-                assert not is_special(lam, group_type)
-                continue
-            fixed = orbit_dual(orbit_dual(lam, group_type), group_type) == lam
-            assert is_special(lam, group_type) == fixed
+    # every partition of every rank <= 10: sizes 2n (C) and 2n + 1 (B)
+    for rank in range(11):
+        for group_type, size in (("C", 2 * rank), ("B", 2 * rank + 1)):
+            for lam in partitions_of(size):
+                if not is_orbit_partition(lam, group_type):
+                    assert not is_special(lam, group_type)
+                    continue
+                fixed = orbit_dual(orbit_dual(lam, group_type), group_type) == lam
+                assert is_special(lam, group_type) == fixed, (lam, group_type)

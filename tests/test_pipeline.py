@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -13,13 +15,16 @@ from domino_tableaux.partitions import (
     n_statistic,
 )
 from domino_tableaux.pipeline import (
+    _preferred,
     candidate_moves,
     orbit_of,
     orbital_tableau,
     special_projection,
 )
 from domino_tableaux.signed_perm import enumerate_group, identity
-from domino_tableaux.tableau import make_tableau
+from domino_tableaux.tableau import make_tableau, serialize
+from test_cycles import _sdt_of_rank
+from test_insertion import random_signed_perm
 
 
 def cells(tableau):
@@ -120,6 +125,20 @@ def test_opposite_coloring_move_is_required():
     assert result.orbit == (4, 2, 2)
 
 
+def test_preferred_move_has_the_greatest_key():
+    # native cycles (1,), (2,), (3,) and type-D cycles (1, 2), (3,)
+    tab = rs((2, 1, 3), "C").left
+    n1, n2, _ = all_cycles(tab, Coloring.NATIVE)
+    d12, d3 = all_cycles(tab, Coloring.TYPE_D)
+    # the dominant target wins; of incomparable (3, 3) and (4, 1, 1), the
+    # lex-greater one
+    assert _preferred([(n1, (2, 2, 1, 1)), (n2, (3, 1, 1, 1))])[0] is n2
+    assert _preferred([(n1, (3, 3)), (d3, (4, 1, 1))]) == (d3, (4, 1, 1))
+    # equal targets: the smallest label, then the native coloring
+    assert _preferred([(d3, (3, 3)), (n2, (3, 3)), (d12, (3, 3))])[0] is d12
+    assert _preferred([(d12, (3, 3)), (n2, (3, 3)), (n1, (3, 3))])[0] is n1
+
+
 @pytest.mark.parametrize("t", ["C", "B"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_anneal_terminates_and_descends(t, n):
@@ -159,6 +178,38 @@ def test_anneal_at_rank_200(t):
     result = orbital_tableau(left)
     assert result.trace == () and result.tableau == left
     assert result.orbit == (400 + (t == "B"),)
+
+
+# sha256 over orbital_tableau's answer (the tableau, the orbit, and each
+# step's labels, coloring and shapes) for seeded words at ranks 8-24 and for
+# every standard tableau of rank <= 5; a change to how annealing picks its
+# move must leave these answers alone.
+ANNEAL_DIGESTS = {
+    "C": "95a7e123c3207fd91888a315dd10b161036b3f61d63c5c4552bbd3558a33d90b",
+    "B": "3fd84fcb3378bad0292dd22e50f549655f8fa1fe2406a94961364ec3c1fc40e8",
+}
+
+
+def anneal_digest(t):
+    rng = random.Random(f"anneal-digest-{t}")
+    words = [random_signed_perm(rng, n) for n in (8, 12, 16, 20, 24) for _ in range(20)]
+    tableaux = [rs(w, t).left for w in words]
+    tableaux += [tab for n in range(1, 6) for tab in _sdt_of_rank(n, t)]
+    digest = hashlib.sha256()
+    for tab in tableaux:
+        result = orbital_tableau(tab)
+        steps = [
+            [list(s.cycle.labels), s.coloring.value, s.shape_before, s.shape_after]
+            for s in result.trace
+        ]
+        doc = [serialize(result.tableau), result.orbit, steps]
+        digest.update(json.dumps(doc).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("t", ["C", "B"])
+def test_anneal_answers_are_pinned(t):
+    assert anneal_digest(t) == ANNEAL_DIGESTS[t]
 
 
 def test_special_projection_rank_two():
