@@ -1,9 +1,12 @@
 """Counting, exhaustive generators and brute-force cross-checks.
 
-Tableaux are counted in closed form.  Everything else here is deliberately
-implemented from first principles (shape chains rather than cell-level
-standardness, direct group arithmetic) so it can serve as an independent
-oracle for the other modules.
+Tableaux are counted in closed form.  The generators are implemented from
+first principles (shape chains rather than cell-level standardness, direct
+group arithmetic), and most suites re-derive what they check.
+``pipeline-confluence`` is the exception: it explores every move that the
+annealer's own ``candidate_moves`` offers, the one definition of an
+admissible move, and the tests check ``candidate_moves`` against that
+definition, re-derived, on every standard tableau of rank <= 6.
 """
 
 from __future__ import annotations
@@ -25,12 +28,11 @@ from .partitions import (
     Partition,
     as_partition,
     check_group_type,
-    dominates,
     is_orbit_partition,
     partitions_of,
     transpose,
 )
-from .pipeline import orbital_tableau
+from .pipeline import candidate_moves, orbital_tableau
 from .signed_perm import (
     compose,
     enumerate_group,
@@ -269,36 +271,19 @@ def _suite_cycle_involution(n, lie_type, report):
                     )
 
 
-def _admissible(tab: DominoTableau):
-    """Open cycles lowering the shape with hole and corner in rows of the
-    admissible parity (re-derived here, not taken from the annealer)."""
-    shape = tab.shape()
-    want = 1 if tab.lie_type == "C" else 0
-
-    def row_len(r):
-        return shape[r - 1] if r <= len(shape) else 0
-
-    for coloring in Coloring:
-        for cy in all_cycles(tab, coloring):
-            if not cy.open:
-                continue
-            if row_len(cy.hole[0]) % 2 != want or row_len(cy.corner[0]) % 2 != want:
-                continue
-            moved = move_through(tab, cy)
-            if moved.shape() != shape and dominates(shape, moved.shape()):
-                yield moved
-
-
 def _terminals(
     tab: DominoTableau, memo: dict[DominoTableau, frozenset[DominoTableau]]
 ) -> frozenset[DominoTableau]:
-    """Every terminal tableau that some run of admissible moves reaches;
+    """Every terminal tableau that some run of admissible moves reaches,
+    taking every move of ``candidate_moves`` where the annealer takes one;
     ``memo`` shares the work between the tableaux of one run."""
     if tab not in memo:
         if is_orbit_partition(tab.shape(), tab.lie_type):
             memo[tab] = frozenset([tab])
         else:
-            memo[tab] = frozenset().union(*(_terminals(m, memo) for m in _admissible(tab)))
+            memo[tab] = frozenset().union(
+                *(_terminals(move_through(tab, cy), memo) for cy, _ in candidate_moves(tab))
+            )
     return memo[tab]
 
 

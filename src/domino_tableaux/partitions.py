@@ -121,8 +121,13 @@ def _bad_parity(group_type: str) -> int:
 
 
 def is_orbit_partition(lam: Partition, group_type: str) -> bool:
-    """Whether lam labels a nilpotent orbit for the given group type."""
+    """Whether lam labels a nilpotent orbit for the given group type; a
+    type-B orbit partition also has odd size (a C one has even size by the
+    parity rule)."""
     check_group_type(group_type)
+    lam = as_partition(lam)
+    if group_type == TYPE_B and sum(lam) % 2 == 0:
+        return False
     bad = _bad_parity(group_type)
     return all(lam.count(v) % 2 == 0 for v in set(lam) if v % 2 == bad)
 
@@ -134,8 +139,11 @@ def orbit_collapse(lam: Partition, group_type: str) -> Partition:
     largest offending part value; validated elsewhere against brute force.
     """
     check_group_type(group_type)
+    lam = as_partition(lam)
     if group_type == TYPE_C and sum(lam) % 2 == 1:
         raise ValueError("no C-type orbit partition has odd size")
+    if group_type == TYPE_B and sum(lam) % 2 == 0:
+        raise ValueError("no B-type orbit partition has even size")
     bad = _bad_parity(group_type)
     parts = list(lam)
     for _ in range(sum(lam) ** 2 + 1):

@@ -9,9 +9,12 @@ partition labels the nilpotent orbit attached to the element; the tableau
 parametrizes its orbital variety.  Among the admissible moves it takes the
 one with the greatest key (target shape in lex order, minus the cycle's
 smallest label, native coloring), which keeps traces reproducible; the
-lex-greatest target is also dominance-maximal.  That the move order
-does not affect the result is verified through rank 4 only; at rank 5 some
-tableaux reach two different terminal tableaux.
+lex-greatest target is also dominance-maximal.  ``candidate_moves`` is the
+one definition of an admissible move: the ``pipeline-confluence`` suite
+explores every move it offers, and the tests check it against the
+definition, re-derived, on every standard tableau of rank <= 6.  That the
+move order does not affect the result is verified through rank 4 only; at
+rank 5 some tableaux reach two different terminal tableaux.
 
 The special-shape projection is one simultaneous move through every open
 native-coloring cycle that is unboxed (type C) or boxed (type B); these are
@@ -52,11 +55,6 @@ class OrbitalResult:
     trace: tuple[AnnealStep, ...]
 
 
-def _wanted_parity(lie_type: str) -> int:
-    # holes and corners must sit in odd-length rows for C, even-length for B
-    return 1 if lie_type == "C" else 0
-
-
 def candidate_moves(tableau: DominoTableau) -> list[tuple[Cycle, Partition]]:
     """Admissible lowering moves: open down cycle, row-parity test on hole
     and corner against the pre-move shape.
@@ -66,7 +64,7 @@ def candidate_moves(tableau: DominoTableau) -> list[tuple[Cycle, Partition]]:
     in dominance.
     """
     rows = tableau.shape() + (0,)  # a corner lies at most one row below the shape
-    parity = _wanted_parity(tableau.lie_type)
+    parity = 1 if tableau.lie_type == "C" else 0  # odd-length rows for C, even for B
     out = []
     for coloring in (Coloring.NATIVE, Coloring.TYPE_D):
         for cy in all_cycles(tableau, coloring):

@@ -89,12 +89,15 @@ def test_criterion_06_pipeline_soundness():
         for n in range(1, 5):
             start = time.perf_counter()
             for w in enumerate_group(n):
-                result = orbital_tableau(rs(w, t).left)  # raises = hard error
+                left = rs(w, t).left
+                result = orbital_tableau(left)  # raises = hard error
                 ok = ok and is_orbit_partition(result.orbit, t)
-                shapes = [
-                    result.trace[0].shape_before if result.trace else result.orbit
-                ] + [s.shape_after for s in result.trace]
-                for before, after in zip(shapes, shapes[1:]):
+                ok = ok and result.tableau.shape() == result.orbit
+                # the steps chain from the left tableau's shape down to the orbit
+                shapes = [left.shape()] + [s.shape_after for s in result.trace]
+                ok = ok and shapes[-1] == result.orbit
+                for step, before, after in zip(result.trace, shapes, shapes[1:]):
+                    ok = ok and step.shape_before == before
                     ok = ok and before != after and dominates(before, after)
             if n == 4:
                 elapsed_at_4 += time.perf_counter() - start
@@ -102,7 +105,8 @@ def test_criterion_06_pipeline_soundness():
         6,
         "pipeline-soundness",
         ok and elapsed_at_4 < 60.0,
-        f"n <= 4, rank-4 pass {elapsed_at_4:.1f}s",
+        "every element of rank <= 4: orbit partition, the tableau's shape, "
+        f"steps chained and strictly descending; rank-4 pass {elapsed_at_4:.1f}s",
     )
 
 

@@ -111,6 +111,10 @@ def test_orbit_partition_predicate():
     assert is_orbit_partition((2, 2, 1), "B")
     assert not is_orbit_partition((3, 2), "B")
     assert not is_orbit_partition((4, 1), "B")
+    # a type-B orbit partition has odd size, whatever its parts
+    assert not is_orbit_partition((1, 1), "B")
+    assert not is_orbit_partition((3, 1), "B")
+    assert not is_orbit_partition((), "B")
 
 
 def test_collapse_frozen_values():
@@ -126,6 +130,20 @@ def test_collapse_frozen_values():
 def test_collapse_rejects_odd_size_for_c():
     with pytest.raises(ValueError):
         orbit_collapse((3, 1, 1), "C")
+
+
+def test_collapse_rejects_even_size_for_b():
+    for lam in ((2,), (1, 1), (3, 1)):
+        with pytest.raises(ValueError, match="even size"):
+            orbit_collapse(lam, "B")
+
+
+def test_orbit_predicates_refuse_non_partitions():
+    # the message names the input, not an intermediate of the collapse
+    for check in (is_orbit_partition, orbit_collapse, orbit_dual, is_special):
+        for group_type in ("C", "B"):
+            with pytest.raises(ValueError, match=r"\[1, 3\]"):
+                check((1, 3), group_type)
 
 
 def _greatest_dominated_orbit_partition(lam, group_type):
@@ -147,7 +165,7 @@ def test_collapse_is_greatest_dominated_orbit_partition():
             assert orbit_collapse(lam, "C") == _greatest_dominated_orbit_partition(
                 lam, "C"
             ), lam
-    for size in range(1, 10):
+    for size in range(1, 10, 2):
         for lam in partitions_of(size):
             assert orbit_collapse(lam, "B") == _greatest_dominated_orbit_partition(
                 lam, "B"
@@ -169,6 +187,8 @@ def test_dual_reverses_dominance():
 def test_dual_requires_orbit_partition():
     with pytest.raises(ValueError):
         orbit_dual((3, 1), "C")
+    with pytest.raises(ValueError):
+        orbit_dual((3, 1), "B")
 
 
 def test_special_frozen_values():
