@@ -3,158 +3,113 @@
 Signed permutations, standard domino tableaux, the two-tableau insertion
 correspondence, cycle moves, wall-crossing operators, and the annealing map
 from a group element to the tableau parametrizing its orbital variety.
+
+Names resolve on first use (PEP 562): ``import domino_tableaux`` loads no
+submodule, and the first access to an exported name imports the module that
+owns it and keeps the value in the package namespace.
 """
 
-from .cycles import (
-    Coloring,
-    Cycle,
-    all_cycles,
-    cycle_of,
-    extended_cycle,
-    move_through,
-    move_through_extended,
-    move_through_set,
-)
-from .enumeration import (
-    SUITE_NAMES,
-    VerificationReport,
-    all_sdt,
-    count_sdt,
-    verify_suite,
-)
-from .insertion import (
-    TableauPair,
-    pair_deserialize,
-    pair_from_json_dict,
-    pair_serialize,
-    pair_to_json_dict,
-    rs,
-    rs_inverse,
-)
-from .operators import (
-    OperatorDomainReport,
-    OperatorUndefinedError,
-    equal_length_domain,
-    type_d_domain,
-    unequal_length_domain,
-    wall_cross_equal_length,
-    wall_cross_type_d,
-    wall_cross_unequal_length,
-)
-from .partitions import (
-    Partition,
-    dominates,
-    format_partition,
-    is_orbit_partition,
-    is_special,
-    orbit_collapse,
-    orbit_dual,
-    parse_partition,
-    partitions_of,
-    transpose,
-)
-from .pipeline import (
-    AnnealStep,
-    OrbitalResult,
-    PipelineStallError,
-    candidate_moves,
-    orbit_of,
-    orbital_tableau,
-    special_projection,
-)
-from .signed_perm import (
-    SignedPerm,
-    apply_generator,
-    compose,
-    enumerate_group,
-    format_perm,
-    generator,
-    identity,
-    inverse,
-    left_descents,
-    length,
-    parse_perm,
-    right_descents,
-)
-from .tableau import (
-    Domino,
-    DominoTableau,
-    TableauError,
-    deserialize,
-    from_json_dict,
-    make_tableau,
-    render,
-    serialize,
-    to_json_dict,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Names that no other module calls say why they are exported.
-__all__ = [
-    "AnnealStep",
-    "Coloring",
-    "Cycle",
-    "Domino",
-    "DominoTableau",
-    "OperatorDomainReport",
-    "OperatorUndefinedError",
-    "OrbitalResult",
-    "Partition",
-    "PipelineStallError",
-    "SUITE_NAMES",
-    "SignedPerm",
-    "TableauError",
-    "TableauPair",
-    "VerificationReport",
-    "all_cycles",
-    "all_sdt",
-    "apply_generator",
-    "candidate_moves",
-    "compose",
-    "count_sdt",
-    "cycle_of",
-    "deserialize",
-    "dominates",
-    "enumerate_group",
-    "equal_length_domain",
-    "extended_cycle",
-    "format_partition",
-    "format_perm",
-    "from_json_dict",
-    "generator",
-    "identity",
-    "inverse",
-    "is_orbit_partition",
-    "is_special",
-    "left_descents",  # the left descent set, right_descents' partner
-    "length",
-    "make_tableau",
-    "move_through",
-    "move_through_extended",
-    "move_through_set",
-    "orbit_collapse",
-    "orbit_dual",  # the duality whose square fixes exactly the special partitions
-    "orbit_of",
-    "orbital_tableau",
-    "pair_deserialize",
-    "pair_from_json_dict",
-    "pair_serialize",  # the text that pair_deserialize reads back
-    "pair_to_json_dict",
-    "parse_partition",
-    "parse_perm",
-    "partitions_of",
-    "render",
-    "right_descents",
-    "rs",
-    "rs_inverse",
-    "serialize",
-    "special_projection",
-    "transpose",
-    "type_d_domain",
-    "unequal_length_domain",
-    "verify_suite",
-    "wall_cross_equal_length",
-    "wall_cross_type_d",
-    "wall_cross_unequal_length",
-]
+# module -> the names it exports.  Names that no other module calls say why
+# they are exported.
+_EXPORTS = {
+    "cycles": (
+        "Coloring",
+        "Cycle",
+        "all_cycles",
+        "cycle_of",
+        "extended_cycle",
+        "move_through",
+        "move_through_extended",
+        "move_through_set",
+    ),
+    "enumeration": (
+        "SUITE_NAMES",
+        "VerificationReport",
+        "all_sdt",
+        "verify_suite",
+    ),
+    "insertion": (
+        "TableauPair",
+        "pair_deserialize",
+        "pair_from_json_dict",
+        "pair_serialize",  # the text that pair_deserialize reads back
+        "pair_to_json_dict",
+        "rs",
+        "rs_inverse",
+    ),
+    "operators": (
+        "OperatorDomainReport",
+        "OperatorUndefinedError",
+        "equal_length_domain",
+        "type_d_domain",
+        "unequal_length_domain",
+        "wall_cross_equal_length",
+        "wall_cross_type_d",
+        "wall_cross_unequal_length",
+    ),
+    "partitions": (
+        "Partition",
+        "count_sdt",
+        "dominates",
+        "format_partition",
+        "is_orbit_partition",
+        "is_special",
+        "orbit_collapse",
+        "orbit_dual",  # the duality whose square fixes exactly the special partitions
+        "parse_partition",
+        "partitions_of",
+        "transpose",
+    ),
+    "pipeline": (
+        "AnnealStep",
+        "OrbitalResult",
+        "PipelineStallError",
+        "candidate_moves",
+        "orbit_of",
+        "orbital_tableau",
+        "special_projection",
+    ),
+    "signed_perm": (
+        "SignedPerm",
+        "apply_generator",
+        "compose",
+        "enumerate_group",
+        "format_perm",
+        "generator",
+        "identity",
+        "inverse",
+        "left_descents",  # the left descent set, right_descents' partner
+        "length",
+        "parse_perm",
+        "right_descents",
+    ),
+    "tableau": (
+        "Domino",
+        "DominoTableau",
+        "TableauError",
+        "deserialize",
+        "from_json_dict",
+        "make_tableau",
+        "render",
+        "serialize",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return list(__all__)

@@ -7,6 +7,10 @@ suites.  Output is canonical JSON (sorted keys, one trailing newline) or a
 human-readable ASCII rendering.
 
 Exit codes: 0 success, 1 domain or verification failure, 2 usage error.
+
+Each command imports the library modules it calls, at the top of its body,
+so a call loads only the layers it runs: ``--help`` and ``count`` load
+``partitions`` alone.
 """
 
 from __future__ import annotations
@@ -15,38 +19,9 @@ import argparse
 import json
 import sys
 
-from .cycles import (
-    Coloring,
-    all_cycles,
-    cycle_of,
-    move_through_extended,
-    move_through_set,
-)
-from .enumeration import SUITE_NAMES, count_sdt, verify_suite
-from .insertion import (
-    pair_deserialize,
-    pair_from_json_dict,
-    pair_to_json_dict,
-    rs,
-    rs_inverse,
-)
-from .operators import (
-    OperatorUndefinedError,
-    wall_cross_equal_length,
-    wall_cross_type_d,
-    wall_cross_unequal_length,
-)
-from .partitions import format_partition, parse_partition
-from .pipeline import orbital_tableau, special_projection
-from .signed_perm import format_perm, parse_perm
-from .tableau import deserialize, from_json_dict, render, to_json_dict
+from .partitions import count_sdt, format_partition, parse_partition
 
-# equal-length acts on the group element, the others on the pair
-_PAIR_OPERATORS = {
-    "unequal-length": wall_cross_unequal_length,
-    "type-d": wall_cross_type_d,
-}
-OPERATOR_NAMES = ("equal-length", *_PAIR_OPERATORS)
+OPERATOR_NAMES = ("equal-length", "unequal-length", "type-d")
 COUNT_MAX_CELLS = 10_000  # an input bound: count_sdt makes one pass over the cells
 
 
@@ -66,11 +41,17 @@ def _emit(args, doc: dict, ascii_text: str) -> None:
 
 
 def _pair_ascii(pair) -> str:
+    from .tableau import render
+
     return "left:\n{}\nright:\n{}".format(render(pair.left), render(pair.right))
 
 
 def _tableau_arg(raw: str, lie_type: str, side: str):
     """A tableau given directly as JSON, or the chosen tableau of rs(w)."""
+    from .insertion import rs
+    from .signed_perm import parse_perm
+    from .tableau import deserialize
+
     text = _read_input(raw).strip()
     if text.startswith("{"):
         tab = deserialize(text)
@@ -96,18 +77,27 @@ def _cycle_doc(cy) -> dict:
 
 
 def _cmd_rs(args) -> int:
+    from .insertion import pair_to_json_dict, rs
+    from .signed_perm import parse_perm
+
     pair = rs(parse_perm(_read_input(args.word)), args.type)
     _emit(args, pair_to_json_dict(pair), _pair_ascii(pair))
     return 0
 
 
 def _cmd_inverse(args) -> int:
+    from .insertion import pair_deserialize, rs_inverse
+    from .signed_perm import format_perm
+
     w = rs_inverse(pair_deserialize(_read_input(args.pair)))
     _emit(args, {"word": format_perm(w)}, format_perm(w))
     return 0
 
 
 def _cmd_orbital(args) -> int:
+    from .pipeline import orbital_tableau
+    from .tableau import render, to_json_dict
+
     tab = _tableau_arg(args.input, args.type, "left")
     result = orbital_tableau(tab)
     doc = {
@@ -129,6 +119,9 @@ def _cmd_orbital(args) -> int:
 
 
 def _cmd_special(args) -> int:
+    from .pipeline import special_projection
+    from .tableau import render, to_json_dict
+
     tab = _tableau_arg(args.input, args.type, "right")
     out = special_projection(tab)
     _emit(args, {"tableau": to_json_dict(out)}, render(out))
@@ -136,6 +129,8 @@ def _cmd_special(args) -> int:
 
 
 def _cmd_cycles(args) -> int:
+    from .cycles import Coloring, all_cycles
+
     tab = _tableau_arg(args.input, args.type, "left")
     colorings = (
         list(Coloring) if args.coloring == "both" else [Coloring(args.coloring)]
@@ -155,6 +150,10 @@ def _cmd_cycles(args) -> int:
 
 
 def _cmd_move(args) -> int:
+    from .cycles import Coloring, cycle_of, move_through_extended, move_through_set
+    from .insertion import pair_from_json_dict, pair_to_json_dict
+    from .tableau import from_json_dict, render, to_json_dict
+
     text = _read_input(args.input).strip()
     labels = args.label
     coloring = Coloring(args.coloring)
@@ -179,28 +178,43 @@ def _cmd_move(args) -> int:
 
 
 def _cmd_op(args) -> int:
+    from .insertion import pair_deserialize, pair_to_json_dict, rs, rs_inverse
+    from .operators import (
+        OperatorUndefinedError,
+        wall_cross_equal_length,
+        wall_cross_type_d,
+        wall_cross_unequal_length,
+    )
+
     pair = pair_deserialize(_read_input(args.pair))
-    if args.name == "equal-length":
-        if args.i is None or args.j is None:
-            raise UsageError("equal-length needs --i and --j")
-        image = wall_cross_equal_length(rs_inverse(pair), args.i, args.j)
-        out = rs(image, pair.left.lie_type)
-    else:
-        out = _PAIR_OPERATORS[args.name](pair)
+    try:
+        # equal-length acts on the group element, the others on the pair
+        if args.name == "equal-length":
+            if args.i is None or args.j is None:
+                raise UsageError("equal-length needs --i and --j")
+            image = wall_cross_equal_length(rs_inverse(pair), args.i, args.j)
+            out = rs(image, pair.left.lie_type)
+        elif args.name == "unequal-length":
+            out = wall_cross_unequal_length(pair)
+        else:
+            out = wall_cross_type_d(pair)
+    except OperatorUndefinedError as exc:
+        _emit(args, exc.report.to_json_dict(), f"undefined: {exc.report.reason}")
+        return 1
     _emit(args, pair_to_json_dict(out), _pair_ascii(out))
     return 0
 
 
 def _cmd_count(args) -> int:
+    # a Decimal's str() has no 4,300-digit limit, unlike an int's
+    import decimal
+
     try:
         shape = parse_partition(_read_input(args.shape))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if sum(shape) > COUNT_MAX_CELLS:
         raise UsageError(f"shape has {sum(shape)} cells; count takes at most {COUNT_MAX_CELLS}")
-    # a Decimal's str() has no 4,300-digit limit, unlike an int's; imported
-    # here, since it adds about 3 ms to the start-up of every command
-    import decimal
     digits = str(decimal.Decimal(count_sdt(shape, args.type)))
     doc = {"shape": list(shape), "type": args.type, "count": 0}
     text = json.dumps(doc, sort_keys=True).replace('"count": 0', '"count": ' + digits, 1)
@@ -209,6 +223,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .enumeration import verify_suite
+
     report = verify_suite(args.suite, args.n, args.type)
     text = "{}: {} ({} instances, {} failures)".format(
         report.suite,
@@ -228,6 +244,15 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
+
+
+def _suite_name(text: str) -> str:
+    from .enumeration import SUITE_NAMES
+
+    if text not in SUITE_NAMES:
+        choices = ", ".join(map(repr, SUITE_NAMES))
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {choices})")
+    return text
 
 
 def _label_list(text: str) -> list[int]:
@@ -303,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
     common(p)
-    p.add_argument("suite", choices=SUITE_NAMES)
+    p.add_argument("suite", type=_suite_name, help="suite name; an unknown name lists them")
     p.add_argument("--n", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_verify)
 
@@ -317,9 +342,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except UsageError as exc:
         args.parser.error(str(exc))
-    except OperatorUndefinedError as exc:
-        _emit(args, exc.report.to_json_dict(), f"undefined: {exc.report.reason}")
-        return 1
     except (ValueError, KeyError, RuntimeError) as exc:
         # str() of a KeyError is the repr of its argument; print the message
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

@@ -1,8 +1,10 @@
-"""Counting, exhaustive generators and brute-force cross-checks.
+"""Exhaustive generators and brute-force cross-checks.
 
-Tableaux are counted in closed form.  The generators are implemented from
-first principles (shape chains rather than cell-level standardness, direct
-group arithmetic), and most suites re-derive what they check.
+Tableaux are counted in closed form by ``partitions.count_sdt``, which
+this module imports back for its suites and its callers.  The generators
+are implemented from first principles (shape chains rather than cell-level
+standardness, direct group arithmetic), and most suites re-derive what they
+check.
 ``pipeline-confluence`` is the exception: it explores every move that the
 annealer's own ``candidate_moves`` offers, the one definition of an
 admissible move, and the tests check ``candidate_moves`` against that
@@ -26,11 +28,13 @@ from .operators import (
 )
 from .partitions import (
     Partition,
+    _check_shape,
+    _core_shape,
     as_partition,
     check_group_type,
+    count_sdt,
     is_orbit_partition,
     partitions_of,
-    transpose,
 )
 from .pipeline import candidate_moves, orbital_tableau
 from .signed_perm import (
@@ -44,10 +48,6 @@ from .tableau import DominoTableau, make_tableau, serialize
 
 # ---------------------------------------------------------------------------
 # standard domino tableaux by backtracking over shape chains
-
-
-def _core_shape(lie_type: str) -> Partition:
-    return (1,) if lie_type == "B" else ()
 
 
 def _removals(shape: Partition, lie_type: str):
@@ -67,42 +67,6 @@ def _removals(shape: Partition, lie_type: str):
             if length - 1 >= lower and not (lie_type == "B" and r == 1 and length == 1):
                 new = shape[: r - 1] + (length - 1, length - 1) + shape[r + 1 :]
                 yield as_partition(new), ((r, length), (r + 1, length))
-
-
-def _check_shape(shape, lie_type: str) -> Partition:
-    check_group_type(lie_type)
-    shape = as_partition(shape)
-    if sum(shape) % 2 != (1 if lie_type == "B" else 0):
-        raise ValueError(f"size {sum(shape)} has the wrong parity for type {lie_type}")
-    return shape
-
-
-def count_sdt(shape, lie_type: str) -> int:
-    """Number of standard domino tableaux of the given shape, in closed form.
-
-    By Stanton and White (A Schensted algorithm for rim hook tableaux, JCTA
-    1985) the domino tableaux of lam over its 2-core number
-    C(w; |lam0|) * f(lam0) * f(lam1), where w is the number of dominoes,
-    (lam0, lam1) is the 2-quotient of lam and each f is a hook-length count.
-    The hooks of the 2-quotient are the even hooks of lam halved, and there
-    are exactly w of them, so the count is w! over the product of the halved
-    even hooks, and the 2-core has |lam| - 2w cells.  The count is 0 when
-    that is not the core the type starts from: () for C and (1) for B.  The
-    2-cores are staircases, so their sizes tell them apart.
-    """
-    shape = _check_shape(shape, lie_type)
-    columns = transpose(shape)
-    dominoes = 0
-    halved_hooks = 1
-    for i, row in enumerate(shape):
-        for j in range(row):
-            hook = row - j + columns[j] - i - 1
-            if hook % 2 == 0:
-                dominoes += 1
-                halved_hooks *= hook // 2
-    if sum(shape) - 2 * dominoes != sum(_core_shape(lie_type)):
-        return 0
-    return math.factorial(dominoes) // halved_hooks
 
 
 def all_sdt(shape, lie_type: str) -> list[DominoTableau]:

@@ -157,14 +157,17 @@ def rs(w: SignedPerm, lie_type: str) -> TableauPair:
     return TableauPair(left, right)
 
 
-def _uninsert(work: _Layout, owner: dict[Cell, int], delta: tuple[Cell, Cell]) -> int:
-    """Undo the last insertion in place, given the recording domino's cells;
-    returns the extracted signed value.  ``owner`` stays as the insertion
-    left it until the letter is found, because each unslide measures the
-    prefix the forward slide saw; then both maps are brought up to date."""
+def _uninsert(
+    work: _Layout, owner: dict[Cell, int], delta: tuple[Cell, Cell], bound: int
+) -> int:
+    """Undo the last insertion in place, given the recording domino's cells
+    and a ``bound`` above every label of ``work``; returns the extracted
+    signed value.  ``owner`` stays as the insertion left it until the letter
+    is found, because each unslide measures the prefix the forward slide
+    saw; then both maps are brought up to date."""
     region = set(delta)
     undone: _Layout = {}
-    k = max(work, default=0) + 1
+    k = bound
     while True:
         below = [lbl for lbl in map(owner.get, region) if lbl and lbl < k]
         if not below:
@@ -217,11 +220,14 @@ def rs_inverse(pair: TableauPair) -> SignedPerm:
     work = {d.label: d.cells for d in pair.left.dominoes}
     owner = pair.left.cell_owner()
     recording = {d.label: d.cells for d in pair.right.dominoes}
+    # both tableaux hold one label set; m + 1 when it is 1..m, as the loop
+    # requires, and a gap still meets the loop's own KeyError or TableauError
+    bound = max(recording, default=0) + 1
     values = []
     for step in range(len(recording), 0, -1):
         if step not in recording:
             raise KeyError(f"no domino labeled {step}")
-        values.append(_uninsert(work, owner, recording[step]))
+        values.append(_uninsert(work, owner, recording[step], bound))
     if work:
         raise TableauError("labels left over after unwinding")
     values.reverse()

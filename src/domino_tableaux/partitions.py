@@ -1,13 +1,17 @@
-"""Partitions with dominance order, orbit-partition tests, collapse and duality.
+"""Partitions with dominance order, orbit-partition tests, collapse and duality,
+and the number of standard domino tableaux of a shape.
 
 A partition is stored as a tuple of weakly decreasing positive integers;
 trailing zeros are never kept.  The two group types "B" and "C" select which
 parity class of parts is constrained when a partition labels a nilpotent
-orbit of the corresponding classical Lie algebra.
+orbit of the corresponding classical Lie algebra.  ``count_sdt`` is a
+hook-length formula on the shape alone, so it lives here rather than with
+the generators of ``enumeration``, and ``dtab count`` loads no tableau code.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -176,3 +180,43 @@ def is_special(lam: Partition, group_type: str) -> bool:
     McGovern, Nilpotent Orbits in Semisimple Lie Algebras, 1993, Prop. 6.3.7)."""
     lam = as_partition(lam)
     return is_orbit_partition(lam, group_type) and is_orbit_partition(transpose(lam), group_type)
+
+
+def _core_shape(lie_type: str) -> Partition:
+    return (1,) if lie_type == "B" else ()
+
+
+def _check_shape(shape, lie_type: str) -> Partition:
+    check_group_type(lie_type)
+    shape = as_partition(shape)
+    if sum(shape) % 2 != (1 if lie_type == "B" else 0):
+        raise ValueError(f"size {sum(shape)} has the wrong parity for type {lie_type}")
+    return shape
+
+
+def count_sdt(shape, lie_type: str) -> int:
+    """Number of standard domino tableaux of the given shape, in closed form.
+
+    By Stanton and White (A Schensted algorithm for rim hook tableaux, JCTA
+    1985) the domino tableaux of lam over its 2-core number
+    C(w; |lam0|) * f(lam0) * f(lam1), where w is the number of dominoes,
+    (lam0, lam1) is the 2-quotient of lam and each f is a hook-length count.
+    The hooks of the 2-quotient are the even hooks of lam halved, and there
+    are exactly w of them, so the count is w! over the product of the halved
+    even hooks, and the 2-core has |lam| - 2w cells.  The count is 0 when
+    that is not the core the type starts from: () for C and (1) for B.  The
+    2-cores are staircases, so their sizes tell them apart.
+    """
+    shape = _check_shape(shape, lie_type)
+    columns = transpose(shape)
+    dominoes = 0
+    halved_hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            hook = row - j + columns[j] - i - 1
+            if hook % 2 == 0:
+                dominoes += 1
+                halved_hooks *= hook // 2
+    if sum(shape) - 2 * dominoes != sum(_core_shape(lie_type)):
+        return 0
+    return math.factorial(dominoes) // halved_hooks

@@ -171,6 +171,15 @@ def test_op_type_d_undefined(capsys):
     assert (code, out, err) == (1, "undefined: needs at least four dominoes\n", "")
 
 
+def test_op_unequal_length_undefined(capsys):
+    # the domain report is handled inside the op command, whose calls raise it
+    pair = rs((1, 2), "C")
+    code, out, err = run(capsys, "op", "unequal-length", pair_serialize(pair))
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["defined"] is False and "first two dominoes" in doc["reason"]
+
+
 def test_count_command(capsys):
     code, out, _ = run(capsys, "count", "--type", "C", "[2,2]")
     assert code == 0
@@ -202,6 +211,16 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--type", "C", "bogus-suite", "--n", "2"])
     assert exc.value.code == 2
+
+
+def test_verify_unknown_suite_lists_every_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--type", "C", "bogus-suite", "--n", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dtab verify ")
+    assert "argument suite: invalid choice: 'bogus-suite'" in err
+    assert all(repr(name) in err for name in SUITE_NAMES)
 
 
 @pytest.mark.parametrize("text", ["5", "[1, 2]", "null", "not json"])
