@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .insertion import TableauPair
@@ -44,6 +43,8 @@ from .tableau import (
     Domino,
     DominoTableau,
     TableauError,
+    Value,
+    _set,
     misplaced_cell,
     move_cells,
     replace_cells,
@@ -85,8 +86,11 @@ def is_boxed(cells: Sequence[Cell], coloring: Coloring) -> bool:
     return _block_id(a, coloring) == _block_id(b, coloring)
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Value):
+    _fields = ("labels", "coloring", "open", "hole", "corner", "down", "boxed")
+    # D'(k) for each label, empty when the cycle is frozen, and the tableau
+    # the cycle was found in; neither takes part in equality.
+    __slots__ = (*_fields, "moves", "source")
     labels: tuple[int, ...]
     coloring: Coloring
     open: bool
@@ -94,10 +98,33 @@ class Cycle:
     corner: Cell | None
     down: bool | None
     boxed: bool
-    # D'(k) for each label, empty when the cycle is frozen, and the tableau
-    # the cycle was found in; neither takes part in equality.
-    moves: tuple[tuple[Cell, Cell], ...] = field(default=(), compare=False, repr=False)
-    source: DominoTableau | None = field(default=None, compare=False, repr=False)
+    moves: tuple[tuple[Cell, Cell], ...]
+    source: DominoTableau | None
+
+    def __init__(
+        self,
+        labels: tuple[int, ...],
+        coloring: Coloring,
+        open: bool,
+        hole: Cell | None,
+        corner: Cell | None,
+        down: bool | None,
+        boxed: bool,
+        moves: tuple[tuple[Cell, Cell], ...] = (),
+        source: DominoTableau | None = None,
+    ) -> None:
+        _set(self, "labels", labels)
+        _set(self, "coloring", coloring)
+        _set(self, "open", open)
+        _set(self, "hole", hole)
+        _set(self, "corner", corner)
+        _set(self, "down", down)
+        _set(self, "boxed", boxed)
+        _set(self, "moves", moves)
+        _set(self, "source", source)
+
+    def __reduce__(self):
+        return Cycle, (*self._key(self), self.moves, self.source)
 
 
 def _label_at(owner: dict[Cell, int], cell: Cell) -> float:

@@ -14,7 +14,6 @@ definition, re-derived, on every standard tableau of rank <= 6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .cycles import Coloring, all_cycles, cycle_of, move_through
 from .insertion import rs, rs_inverse
@@ -44,7 +43,7 @@ from .signed_perm import (
     identity,
     inverse,
 )
-from .tableau import DominoTableau, make_tableau, serialize
+from .tableau import DominoTableau, Value, _set, make_tableau, serialize
 
 # ---------------------------------------------------------------------------
 # standard domino tableaux by backtracking over shape chains
@@ -90,13 +89,22 @@ def all_sdt(shape, lie_type: str) -> list[DominoTableau]:
 # verification suites
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Value):
+    __slots__ = _fields = ("suite", "lie_type", "n", "instances", "failures")
     suite: str
     lie_type: str
     n: int
     instances: int
-    failures: tuple[str, ...] = field(default_factory=tuple)
+    failures: tuple[str, ...]
+
+    def __init__(
+        self, suite: str, lie_type: str, n: int, instances: int, failures: tuple[str, ...] = ()
+    ) -> None:
+        _set(self, "suite", suite)
+        _set(self, "lie_type", lie_type)
+        _set(self, "n", n)
+        _set(self, "instances", instances)
+        _set(self, "failures", failures)
 
     @property
     def passed(self) -> bool:

@@ -40,13 +40,15 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
 
 from .signed_perm import SignedPerm, as_signed_perm
 from .tableau import (
     Cell,
     DominoTableau,
     TableauError,
+    Value,
+    _set,
+    check_contiguous,
     core_cells,
     from_json_dict,
     make_tableau,
@@ -57,21 +59,22 @@ from .tableau import (
 _Layout = dict[int, tuple[Cell, Cell]]  # label -> its two cells, sorted row-major
 
 
-@dataclass(frozen=True)
-class TableauPair:
+class TableauPair(Value):
     """Two tableaux of one type, one shape and one label set."""
 
+    __slots__ = _fields = ("left", "right")
     left: DominoTableau
     right: DominoTableau
 
-    def __post_init__(self) -> None:
-        left, right = self.left, self.right
+    def __init__(self, left: DominoTableau, right: DominoTableau) -> None:
         if left.lie_type != right.lie_type:
             raise TableauError("pair mixes tableau types")
         if left.shape() != right.shape():
             raise TableauError(f"pair shapes differ: {left.shape()} vs {right.shape()}")
         if left.labels() != right.labels():
             raise TableauError("pair label sets differ")
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 def _leading(owner: dict[Cell, int], cell: Cell, horizontal: bool, bound: int) -> int:
@@ -219,14 +222,12 @@ def rs_inverse(pair: TableauPair) -> SignedPerm:
     """The inverse correspondence; rs(rs_inverse(p)) == p."""
     work = {d.label: d.cells for d in pair.left.dominoes}
     owner = pair.left.cell_owner()
+    # both tableaux hold one label set, and unwinding needs it to be 1..m
+    check_contiguous(pair.right.labels())
     recording = {d.label: d.cells for d in pair.right.dominoes}
-    # both tableaux hold one label set; m + 1 when it is 1..m, as the loop
-    # requires, and a gap still meets the loop's own KeyError or TableauError
-    bound = max(recording, default=0) + 1
+    bound = len(recording) + 1
     values = []
     for step in range(len(recording), 0, -1):
-        if step not in recording:
-            raise KeyError(f"no domino labeled {step}")
         values.append(_uninsert(work, owner, recording[step], bound))
     if work:
         raise TableauError("labels left over after unwinding")

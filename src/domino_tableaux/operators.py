@@ -17,19 +17,22 @@ carrying a domain report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cycles import Coloring, move_through_extended
 from .insertion import TableauPair
 from .signed_perm import SignedPerm, apply_generator, right_descents
-from .tableau import DominoTableau, TableauError, replace_cells
+from .tableau import DominoTableau, TableauError, Value, _set, replace_cells
 
 
-@dataclass(frozen=True)
-class OperatorDomainReport:
+class OperatorDomainReport(Value):
+    __slots__ = _fields = ("defined", "case", "reason")
     defined: bool
     case: str | None
     reason: str
+
+    def __init__(self, defined: bool, case: str | None, reason: str) -> None:
+        _set(self, "defined", defined)
+        _set(self, "case", case)
+        _set(self, "reason", reason)
 
     def to_json_dict(self) -> dict:
         return {"defined": self.defined, "case": self.case, "reason": self.reason}

@@ -27,32 +27,45 @@ special tableau, and it is this move's image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cycles import Coloring, Cycle, all_cycles, move_through, move_through_set
 from .insertion import rs
 from .partitions import Partition, is_orbit_partition, is_special, n_statistic
 from .signed_perm import SignedPerm
-from .tableau import DominoTableau
+from .tableau import DominoTableau, Value, _set
 
 
 class PipelineStallError(RuntimeError):
     """Shape is not an orbit partition yet no admissible move exists."""
 
 
-@dataclass(frozen=True)
-class AnnealStep:
+class AnnealStep(Value):
+    __slots__ = _fields = ("cycle", "coloring", "shape_before", "shape_after")
     cycle: Cycle
     coloring: Coloring
     shape_before: Partition
     shape_after: Partition
 
+    def __init__(
+        self, cycle: Cycle, coloring: Coloring, shape_before: Partition, shape_after: Partition
+    ) -> None:
+        _set(self, "cycle", cycle)
+        _set(self, "coloring", coloring)
+        _set(self, "shape_before", shape_before)
+        _set(self, "shape_after", shape_after)
 
-@dataclass(frozen=True)
-class OrbitalResult:
+
+class OrbitalResult(Value):
+    __slots__ = _fields = ("tableau", "orbit", "trace")
     tableau: DominoTableau
     orbit: Partition
     trace: tuple[AnnealStep, ...]
+
+    def __init__(
+        self, tableau: DominoTableau, orbit: Partition, trace: tuple[AnnealStep, ...]
+    ) -> None:
+        _set(self, "tableau", tableau)
+        _set(self, "orbit", orbit)
+        _set(self, "trace", trace)
 
 
 def candidate_moves(tableau: DominoTableau) -> list[tuple[Cycle, Partition]]:

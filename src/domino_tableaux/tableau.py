@@ -36,8 +36,9 @@ to the full constructor, so it is refused with the constructor's own
 message.  Insertion and ``cycles.all_cycles`` run the same rule on the
 cells their moves change.
 
-Tableaux are immutable values; "mutating" helpers return new objects that
-share the unchanged dominoes.  Labels are normally 1..m, which
+Tableaux are immutable values (``Value``, the base of every value type of
+the library); "mutating" helpers return new objects that share the
+unchanged dominoes.  Labels are normally 1..m, which
 ``make_tableau`` checks by default; a standard tableau whose label set has
 gaps is asked for with require_contiguous=False.  A relocation
 (``replace_cells``) keeps the label set, so it has nothing to ask.
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -62,6 +62,48 @@ class TableauError(ValueError):
 
 class _NotIntError(TableauError, TypeError):
     """Domino's refusal of a label or cell that is not an int."""
+
+
+_set = object.__setattr__  # how a Value's __init__ writes its slots
+
+
+class Value:
+    """Base of the library's immutable value types.
+
+    A subclass names in ``_fields``, in constructor order, the fields that
+    take part in equality, hash and repr; its ``__init__`` writes every slot
+    with ``_set``, after which assignment and deletion raise AttributeError.
+    Only instances of one class compare equal.  A copy or a pickle is
+    rebuilt by the constructor from the ``_fields``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._key(self)
 
 
 def core_cells(lie_type: str) -> tuple[Cell, ...]:
@@ -85,23 +127,22 @@ def _malformed_cells(label: int, cells) -> TableauError:
     )
 
 
-@dataclass(frozen=True)
-class Domino:
+class Domino(Value):
+    __slots__ = _fields = ("label", "cells")
     label: int
     cells: tuple[Cell, Cell]  # sorted row-major
 
-    def __post_init__(self) -> None:
-        label = self.label
+    def __init__(self, label: int, cells: tuple[Cell, Cell]) -> None:
         if type(label) is not int:
             raise _NotIntError(f"domino label must be an int, got {label!r}")
         if label < 1:
             raise TableauError(f"domino label must be positive, got {label}")
         try:
-            (r1, c1), (r2, c2) = self.cells
+            (r1, c1), (r2, c2) = cells
         except (TypeError, ValueError):
-            raise _malformed_cells(label, self.cells) from None
+            raise _malformed_cells(label, cells) from None
         if not (type(r1) is int and type(c1) is int and type(r2) is int and type(c2) is int):
-            raise _malformed_cells(label, self.cells)
+            raise _malformed_cells(label, cells)
         if r2 < r1 or (r2 == r1 and c2 < c1):
             r1, c1, r2, c2 = r2, c2, r1, c1
         cs = ((r1, c1), (r2, c2))
@@ -109,7 +150,8 @@ class Domino:
             raise TableauError(f"domino {label} has out-of-quadrant cells {cs}")
         if not (c2 == c1 + 1 if r1 == r2 else c1 == c2 and r2 == r1 + 1):
             raise TableauError(f"domino {label} cells {cs} do not share an edge")
-        object.__setattr__(self, "cells", cs)
+        _set(self, "label", label)
+        _set(self, "cells", cs)
 
     @property
     def horizontal(self) -> bool:
@@ -144,26 +186,37 @@ def _position(dominoes: Sequence[Domino], label: int) -> int:
     return i if i < len(dominoes) and dominoes[i].label == label else -1
 
 
-@dataclass(frozen=True)
-class DominoTableau:
-    lie_type: str
-    dominoes: tuple[Domino, ...]  # ascending labels
+class DominoTableau(Value):
+    _fields = ("lie_type", "dominoes")
     # The cell -> label map (0 for the type-B core) and the shape that the
     # constructor's check builds; neither takes part in equality.
-    _owner: dict[Cell, int] = field(init=False, compare=False, repr=False)
-    _shape: Partition = field(init=False, compare=False, repr=False)
+    __slots__ = (*_fields, "_owner", "_shape", "__weakref__")
+    lie_type: str
+    dominoes: tuple[Domino, ...]  # ascending labels
 
-    def __post_init__(self) -> None:
-        owner: dict[Cell, int] = {c: 0 for c in core_cells(self.lie_type)}
-        dominoes = tuple(self.dominoes)
+    def __init__(self, lie_type: str, dominoes: tuple[Domino, ...]) -> None:
+        core = core_cells(lie_type)
+        owner: dict[Cell, int] = {c: 0 for c in core}
+        # Row lengths, counted as the cells come in.  In a tableau that is
+        # accepted below, the dominoes come in ascending label order and
+        # each one's top cell first, and every prefix is a Young diagram,
+        # so no cell lies more than one row below the rows seen so far.
+        rows = [1] if core else []
+        dominoes = tuple(dominoes)
         for d in dominoes:
             if not isinstance(d, Domino):
                 raise TableauError(f"tableau entry {d!r} is not a Domino")
+            label = d.label
             for c in d.cells:
                 if c in owner:
                     who = "the core" if owner[c] == 0 else f"domino {owner[c]}"
-                    raise TableauError(f"cell {c} of domino {d.label} overlaps {who}")
-                owner[c] = d.label
+                    raise TableauError(f"cell {c} of domino {label} overlaps {who}")
+                owner[c] = label
+                r = c[0]
+                if r > len(rows):
+                    rows.append(1)
+                else:
+                    rows[r - 1] += 1
         labels = [d.label for d in dominoes]
         if labels != sorted(labels) or len(set(labels)) != len(labels):
             raise TableauError(f"labels not strictly increasing: {labels}")
@@ -172,9 +225,10 @@ class DominoTableau:
         bad = misplaced_cell(owner, owner)
         if bad is not None:
             raise TableauError(f"cells up to label {owner[bad]} do not form a Young diagram")
-        object.__setattr__(self, "dominoes", dominoes)
-        object.__setattr__(self, "_owner", owner)
-        object.__setattr__(self, "_shape", shape_of_cells(owner))
+        _set(self, "lie_type", lie_type)
+        _set(self, "dominoes", dominoes)
+        _set(self, "_owner", owner)
+        _set(self, "_shape", tuple(rows))
 
     @classmethod
     def _checked(
@@ -183,10 +237,10 @@ class DominoTableau:
         """A tableau whose layout its caller has checked, with the owner map
         and the shape that the check built."""
         tab = object.__new__(cls)
-        object.__setattr__(tab, "lie_type", lie_type)
-        object.__setattr__(tab, "dominoes", dominoes)
-        object.__setattr__(tab, "_owner", owner)
-        object.__setattr__(tab, "_shape", shape)
+        _set(tab, "lie_type", lie_type)
+        _set(tab, "dominoes", dominoes)
+        _set(tab, "_owner", owner)
+        _set(tab, "_shape", shape)
         return tab
 
     def labels(self) -> tuple[int, ...]:
@@ -274,10 +328,15 @@ def make_tableau(
     ds = [d if isinstance(d, Domino) else Domino(*d) for d in dominoes]
     ds.sort(key=lambda d: d.label)
     t = DominoTableau(lie_type, tuple(ds))
-    labels = [d.label for d in ds]
-    if require_contiguous and labels != list(range(1, len(labels) + 1)):
-        raise TableauError(f"labels must be 1..{len(labels)}, got {labels}")
+    if require_contiguous:
+        check_contiguous(t.labels())
     return t
+
+
+def check_contiguous(labels: Sequence[int]) -> None:
+    """Refuse ascending labels that are not 1..m."""
+    if list(labels) != list(range(1, len(labels) + 1)):
+        raise TableauError(f"labels must be 1..{len(labels)}, got {list(labels)}")
 
 
 def replace_cells(tableau: DominoTableau, moves: Mapping[int, Iterable[Cell]]) -> DominoTableau:

@@ -16,7 +16,7 @@ from domino_tableaux.enumeration import (
     count_sdt,
     verify_suite,
 )
-from domino_tableaux.partitions import partitions_of
+from domino_tableaux.partitions import is_orbit_partition, partitions_of
 from domino_tableaux.tableau import make_tableau
 
 
@@ -74,6 +74,60 @@ def test_count_is_one_pass_on_a_wide_hook():
     count = count_sdt(shape, "C")
     assert time.perf_counter() - start < 0.5
     assert count == math.comb(9999, 4999)
+
+
+def _standard_young_count(shape):
+    """f^shape by the hook-length formula."""
+    columns = [sum(1 for part in shape if part > j) for j in range(shape[0] if shape else 0)]
+    hooks = 1
+    for i, part in enumerate(shape):
+        for j in range(part):
+            hooks *= (part - j) + (columns[j] - i) - 1
+    return math.factorial(sum(shape)) // hooks
+
+
+def _springer_bipartition(lam, lie_type):
+    """Lusztig's symbol of the orbit lam, read as the bipartition (alpha,
+    beta) that labels its Springer representation with trivial local
+    system: pad lam to an even (C) or odd (B) number of parts, add
+    0, 1, 2, ... to the parts in increasing order, send each value v to
+    v // 2 in the list of its parity, and subtract 0, 1, 2, ... within
+    each list."""
+    parts = sorted(lam)
+    if len(parts) % 2 != (1 if lie_type == "B" else 0):
+        parts.insert(0, 0)
+    lists = ([], [])
+    for i, part in enumerate(parts):
+        lists[(part + i) % 2].append((part + i) // 2)
+    return tuple(
+        tuple(sorted((x - i for i, x in enumerate(values) if x > i), reverse=True))
+        for values in lists
+    )
+
+
+@pytest.mark.parametrize("t", ["C", "B"])
+def test_springer_dimension_counts_orbital_varieties(t):
+    # The orbital varieties of O_lam number dim rho_(lam,1) = C(n, |alpha|)
+    # f^alpha f^beta, the dimension of its Springer representation with
+    # trivial local system (Lusztig, Invent. Math. 1984, sections 11-13).
+    # Gate 8 checks through rank 5 that the annealed images of orbit shape
+    # lam are all count_sdt(lam) tableaux of that shape; this ties that
+    # count to the orbit's in closed form, at every rank <= 12.
+    checked = 0
+    for n in range(1, 13):
+        for lam in partitions_of(2 * n + (1 if t == "B" else 0)):
+            if not is_orbit_partition(lam, t):
+                continue
+            alpha, beta = _springer_bipartition(lam, t)
+            assert sum(alpha) + sum(beta) == n, lam
+            dimension = (
+                math.comb(n, sum(alpha))
+                * _standard_young_count(alpha)
+                * _standard_young_count(beta)
+            )
+            assert dimension == count_sdt(lam, t), lam
+            checked += 1
+    assert checked == {"C": 1490, "B": 1256}[t]
 
 
 @pytest.mark.parametrize("t", ["C", "B"])

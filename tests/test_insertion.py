@@ -108,6 +108,26 @@ def test_round_trip_random_rank6(w, t):
     assert rs_inverse(rs(w, t)) == w
 
 
+def test_rs_inverse_refuses_a_gapped_label_set():
+    # unwinding needs labels 1..m; every pair of rank 4, relabeled onto
+    # three gapped label sets, is refused up front with make_tableau's
+    # message, whichever step a gap would have broken
+    def relabeled(tableau, labels):
+        ds = [(labels[d.label - 1], d.cells) for d in tableau.dominoes]
+        return make_tableau("C", ds, require_contiguous=False)
+
+    refused = 0
+    for labels in ((2, 3, 4, 5), (1, 2, 3, 5), (1, 3, 4, 5)):
+        message = f"^labels must be 1..4, got {re.escape(str(list(labels)))}$"
+        for w in enumerate_group(4):
+            pair = rs(w, "C")
+            gapped = TableauPair(relabeled(pair.left, labels), relabeled(pair.right, labels))
+            with pytest.raises(TableauError, match=message):
+                rs_inverse(gapped)
+            refused += 1
+    assert refused == 1152
+
+
 def test_rs_refuses_entries_that_are_not_ints():
     with pytest.raises(ValueError, match="^signed permutation entries must be ints, got 1.5$"):
         rs((1.5, -2.7), "C")
@@ -310,13 +330,13 @@ def test_rs_builds_each_domino_once(t, n, monkeypatch):
     # the kernel moves plain cells; only the two result tableaux build, and
     # so check, their dominoes
     built = []
-    check = Domino.__post_init__
+    check = Domino.__init__
 
-    def counted(d):
-        built.append(d.label)
-        check(d)
+    def counted(d, label, cells):
+        built.append(label)
+        check(d, label, cells)
 
-    monkeypatch.setattr(Domino, "__post_init__", counted)
+    monkeypatch.setattr(Domino, "__init__", counted)
     rng = random.Random(f"builds-{t}{n}")
     for _ in range(5):
         built.clear()

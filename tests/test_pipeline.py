@@ -281,3 +281,17 @@ def test_special_projection_matches_the_walk_on_random_words(t):
                     if rows[cy.hole[0] - 1] % 2 == parity == rows[cy.corner[0] - 1] % 2
                 ]
                 assert selected == in_parity
+
+
+@pytest.mark.parametrize("t", ["C", "B"])
+def test_special_shapes_of_the_pair_agree(t):
+    # w and its inverse lie in one two-sided cell, so the special
+    # projections of the left and right tableaux share their shape; 20
+    # seeded words per rank
+    rng = random.Random(20261020)
+    for n in (16, 32, 64, 128):
+        for _ in range(20):
+            w = random_signed_perm(rng, n)
+            pair = rs(w, t)
+            left, right = special_projection(pair.left), special_projection(pair.right)
+            assert left.shape() == right.shape(), w

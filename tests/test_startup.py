@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import domino_tableaux
+from domino_tableaux.insertion import pair_serialize, rs
 
 # every name the package exported when its __init__ imported every module
 PUBLIC_NAMES = sorted(
@@ -36,6 +37,8 @@ ABOVE_PARTITIONS = [
     "domino_tableaux." + name
     for name in ("tableau", "insertion", "cycles", "operators", "pipeline", "enumeration")
 ]
+# a pair in the domain of the unequal-length operator
+OP_PAIR = pair_serialize(rs((-1, 2, 3), "C"))
 
 
 def _python(*args):
@@ -80,7 +83,26 @@ def test_package_import_loads_no_submodule():
             ["domino_tableaux.partitions"],
             ["dataclasses", *ABOVE_PARTITIONS],
         ),
-        (["rs", "--type", "C", "2 -1"], ABOVE_PARTITIONS[:2], ABOVE_PARTITIONS[2:]),
+        (
+            ["rs", "--type", "C", "2 -1"],
+            ABOVE_PARTITIONS[:2],
+            ["dataclasses", *ABOVE_PARTITIONS[2:]],
+        ),
+        (
+            ["orbital", "--type", "C", "2 1"],
+            [*ABOVE_PARTITIONS[:3], "domino_tableaux.pipeline"],
+            ["dataclasses", "domino_tableaux.operators", "domino_tableaux.enumeration"],
+        ),
+        (
+            ["op", "unequal-length", OP_PAIR],
+            ABOVE_PARTITIONS[:4],
+            ["dataclasses", "domino_tableaux.pipeline", "domino_tableaux.enumeration"],
+        ),
+        (
+            ["verify", "--type", "C", "rs-bijection", "--n", "2"],
+            ABOVE_PARTITIONS,
+            ["dataclasses"],
+        ),
     ],
 )
 def test_dtab_loads_only_the_layers_its_command_runs(argv, loaded, absent):
@@ -88,6 +110,21 @@ def test_dtab_loads_only_the_layers_its_command_runs(argv, loaded, absent):
     assert code == 0 and stdout
     assert set(loaded) <= modules
     assert not modules & set(absent)
+
+
+def test_the_library_loads_no_dataclasses():
+    # enumeration imports every other module of the library
+    out = _python(
+        "-c",
+        "import sys, domino_tableaux.enumeration\n"
+        "print(sorted(m for m in sys.modules if m.startswith('domino_tableaux.')))\n"
+        "print('dataclasses' in sys.modules)",
+    )
+    assert out.returncode == 0, out.stderr
+    loaded, dataclasses_loaded = out.stdout.splitlines()
+    library = ["domino_tableaux.partitions", "domino_tableaux.signed_perm", *ABOVE_PARTITIONS]
+    assert loaded == repr(sorted(library))
+    assert dataclasses_loaded == "False"
 
 
 def test_exports_are_the_public_names():

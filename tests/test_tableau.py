@@ -210,10 +210,13 @@ def test_local_rule_matches_prefix_oracle():
 
     def check(lie_type, dominoes):
         try:
-            DominoTableau(lie_type, dominoes)
+            tab = DominoTableau(lie_type, dominoes)
             why = None
         except TableauError as exc:
             why = str(exc)
+        else:
+            # the row lengths counted during the check are the shape
+            assert tab.shape() == shape_of_cells(tab.cells())
         bad = _first_bad_prefix(lie_type, dominoes)
         assert (why is None) == (bad is None), (lie_type, dominoes, why)
         if bad is not None:
@@ -310,8 +313,10 @@ def test_replace_cells_matches_the_constructor(monkeypatch):
     from domino_tableaux.partitions import partitions_of
 
     full = []
-    check = DominoTableau.__post_init__
-    monkeypatch.setattr(DominoTableau, "__post_init__", lambda t: full.append(t) or check(t))
+    check = DominoTableau.__init__
+    monkeypatch.setattr(
+        DominoTableau, "__init__", lambda t, *args: full.append(t) or check(t, *args)
+    )
     rng = random.Random(20261019)
     verdicts = []
     for t, core in (("C", 0), ("B", 1)):
@@ -390,8 +395,10 @@ def test_no_check_reruns_on_a_domino(monkeypatch):
     # a Domino is valid once built: make_tableau keeps the Dominoes it is
     # given and replace_cells builds only the relocated ones
     built = []
-    check = Domino.__post_init__
-    monkeypatch.setattr(Domino, "__post_init__", lambda d: built.append(d.label) or check(d))
+    check = Domino.__init__
+    monkeypatch.setattr(
+        Domino, "__init__", lambda d, label, cells: built.append(label) or check(d, label, cells)
+    )
     ds = [Domino(2, ((2, 1), (2, 2))), Domino(1, ((1, 1), (1, 2)))]
     del built[:]
     t = make_tableau("C", ds)
