@@ -24,7 +24,11 @@ single scratch copy of the owner map with the local rule of
 component, so it costs time linear in the size of that component (each
 domino found by bisection), plus one copy of the owner map; it hands the
 component to the same test and the same build, so it answers exactly as
-``all_cycles`` does.  A move (``move_through``, through
+``all_cycles`` does.  ``open_cycles`` shares the union-find pass and keeps
+only the open cycles, for annealing, the special projection and extended
+moves: a component whose move leaves its cell set unchanged is closed
+whether or not that move is standard, so it gets no standardness test and
+no ``Cycle``.  A move (``move_through``, through
 ``tableau.replace_cells``) checks only the cells it changes.  The
 exhaustive search over all standard re-tilings, which takes time
 exponential in the number of cycles, is kept in the tests as the oracle for
@@ -135,10 +139,9 @@ def _label_at(owner: dict[Cell, int], cell: Cell) -> float:
     return owner.get(cell, math.inf)
 
 
-def _moved_position(
-    domino: Domino, owner: dict[Cell, int], coloring: Coloring
-) -> tuple[Cell, Cell]:
-    """D'(k), the one other position of domino k through its fixed cell f.
+def _moved_position(domino: Domino, owner: dict[Cell, int], parity: int) -> tuple[Cell, Cell]:
+    """D'(k), the one other position of domino k through its fixed cell f,
+    where f is the cell whose row + column has the coloring's ``parity``.
 
     With v the variable cell and delta = v - f, the candidates are the shift
     {f, f - delta} and the rotation {f, f + swap(delta)}.  The cell
@@ -147,8 +150,7 @@ def _moved_position(
     iff T(d) > k.
     """
     a, b = domino.cells
-    f = fixed_cell(domino.cells, coloring)
-    v = b if f == a else a
+    f, v = (a, b) if (a[0] + a[1]) % 2 == parity else (b, a)
     dr, dc = v[0] - f[0], v[1] - f[1]
     t = _label_at(owner, (f[0] - dr + dc, f[1] - dc + dr))
     rotate = t < domino.label if dr + dc > 0 else t > domino.label
@@ -183,21 +185,34 @@ def _moving_cycle(
     labels: list[int],
     coloring: Coloring,
     original: dict[int, tuple[Cell, Cell]],
-    moves: dict[int, tuple[Cell, Cell]],
+    step: dict[int, tuple[Cell, Cell]],
+    old: set[Cell],
+    new: set[Cell],
 ) -> Cycle:
-    old = {c for lbl in labels for c in original[lbl]}
-    new = {c for lbl in labels for c in moves[lbl]}
+    """The cycle of a component whose simultaneous move ``step`` is
+    standard and takes its cells ``old`` to ``new``."""
     boxed = is_boxed(original[labels[0]], coloring)
-    step = tuple(moves[lbl] for lbl in labels)
+    moves = tuple(step[lbl] for lbl in labels)
     if new == old:
-        return Cycle(tuple(labels), coloring, False, None, None, None, boxed, step, tableau)
+        return Cycle(tuple(labels), coloring, False, None, None, None, boxed, moves, tableau)
     holes, corners = old - new, new - old
     if len(holes) != 1 or len(corners) != 1:
         raise RuntimeError(f"open move must trade single cells, got {holes} / {corners}")
     hole, corner = holes.pop(), corners.pop()
     return Cycle(
-        tuple(labels), coloring, True, hole, corner, corner[0] > hole[0], boxed, step, tableau
+        tuple(labels), coloring, True, hole, corner, corner[0] > hole[0], boxed, moves, tableau
     )
+
+
+def _cell_sets(
+    labels: list[int],
+    original: dict[int, tuple[Cell, Cell]],
+    step: dict[int, tuple[Cell, Cell]],
+) -> tuple[set[Cell], set[Cell]]:
+    """The cells of a component before and after its move."""
+    old = {c for lbl in labels for c in original[lbl]}
+    new = {c for cells in step.values() for c in cells}
+    return old, new
 
 
 def _component_cycles(
@@ -213,7 +228,8 @@ def _component_cycles(
     else closed single-label cycles whose move is the identity."""
     step = {lbl: moved[lbl] for lbl in labels}
     if _is_standard_move(scratch, original, step):
-        return [_moving_cycle(tableau, labels, coloring, original, step)]
+        old, new = _cell_sets(labels, original, step)
+        return [_moving_cycle(tableau, labels, coloring, original, step, old, new)]
     frozen = []
     for lbl in labels:
         boxed = is_boxed(original[lbl], coloring)
@@ -221,16 +237,19 @@ def _component_cycles(
     return frozen
 
 
-def all_cycles(tableau: DominoTableau, coloring: Coloring) -> tuple[Cycle, ...]:
-    """Each cycle once, sorted by labels; they partition the labels.
-
-    The cycles are the connected components of "D'(k) meets D(l)"; a
-    component whose simultaneous move is not standard is frozen into closed
-    single-label cycles whose move is the identity.
-    """
+def _components(
+    tableau: DominoTableau, coloring: Coloring
+) -> tuple[dict[int, tuple[Cell, Cell]], dict[int, tuple[Cell, Cell]], list[list[int]]]:
+    """D(k) and D'(k) for every label, and the connected components of
+    "D'(k) meets D(l)": each one's labels ascending, the components in
+    order of their smallest label."""
     owner = tableau._owner
-    original = {d.label: d.cells for d in tableau.dominoes}
-    moved = {d.label: _moved_position(d, owner, coloring) for d in tableau.dominoes}
+    parity = coloring.fixed_parity
+    original: dict[int, tuple[Cell, Cell]] = {}
+    moved: dict[int, tuple[Cell, Cell]] = {}
+    for d in tableau.dominoes:
+        original[d.label] = d.cells
+        moved[d.label] = _moved_position(d, owner, parity)
     parent = {lbl: lbl for lbl in original}
 
     def find(lbl: int) -> int:
@@ -241,16 +260,46 @@ def all_cycles(tableau: DominoTableau, coloring: Coloring) -> tuple[Cycle, ...]:
 
     for lbl, cells in moved.items():
         for c in cells:
-            if owner.get(c):  # another domino (0 is the core)
-                parent[find(owner[c])] = find(lbl)
+            other = owner.get(c)
+            if other and other != lbl:  # another domino (0 is the core)
+                parent[find(other)] = find(lbl)
     components: dict[int, list[int]] = {}
     for lbl in original:
         components.setdefault(find(lbl), []).append(lbl)
-    scratch = dict(owner)
+    return original, moved, list(components.values())
+
+
+def all_cycles(tableau: DominoTableau, coloring: Coloring) -> tuple[Cycle, ...]:
+    """Each cycle once, sorted by labels; they partition the labels.
+
+    The cycles are the connected components of "D'(k) meets D(l)"; a
+    component whose simultaneous move is not standard is frozen into closed
+    single-label cycles whose move is the identity.
+    """
+    original, moved, components = _components(tableau, coloring)
+    scratch = dict(tableau._owner)
     cycles: list[Cycle] = []
-    for labels in components.values():
+    for labels in components:
         cycles += _component_cycles(tableau, labels, coloring, scratch, original, moved)
     cycles.sort(key=lambda cy: cy.labels)
+    return tuple(cycles)
+
+
+def open_cycles(tableau: DominoTableau, coloring: Coloring) -> tuple[Cycle, ...]:
+    """The open cycles of ``all_cycles``, in its order, with equal moves
+    and sources.
+
+    A component whose move leaves its cell set unchanged is closed whether
+    its move is standard or frozen, so it is neither tested nor built.
+    """
+    original, moved, components = _components(tableau, coloring)
+    scratch = dict(tableau._owner)
+    cycles = []
+    for labels in components:  # ascending smallest label, as all_cycles sorts
+        step = {lbl: moved[lbl] for lbl in labels}
+        old, new = _cell_sets(labels, original, step)
+        if new != old and _is_standard_move(scratch, original, step):
+            cycles.append(_moving_cycle(tableau, labels, coloring, original, step, old, new))
     return tuple(cycles)
 
 
@@ -278,7 +327,7 @@ def cycle_of(tableau: DominoTableau, label: int, coloring: Coloring) -> Cycle:
         if lbl not in moved:
             d = tableau.domino(lbl)
             original[lbl] = d.cells
-            moved[lbl] = _moved_position(d, owner, coloring)
+            moved[lbl] = _moved_position(d, owner, coloring.fixed_parity)
         return moved[lbl]
 
     component = [label]
@@ -332,17 +381,16 @@ def move_through_set(tableau: DominoTableau, cycles: Iterable[Cycle]) -> DominoT
 
 
 def _open_by_square(cycles: Iterable[Cycle]) -> dict[Cell, Cycle]:
-    """Each hole and corner of the open cycles, with its cycle."""
+    """Each hole and corner of the given open cycles, with its cycle."""
     index: dict[Cell, Cycle] = {}
     for cy in cycles:
-        if cy.open:
-            for square in (cy.hole, cy.corner):
-                if square in index:
-                    raise TableauError(
-                        f"extended cycle closure ambiguous at square {square}: "
-                        f"open cycles {index[square].labels} and {cy.labels}"
-                    )
-                index[square] = cy
+        for square in (cy.hole, cy.corner):
+            if square in index:
+                raise TableauError(
+                    f"extended cycle closure ambiguous at square {square}: "
+                    f"open cycles {index[square].labels} and {cy.labels}"
+                )
+            index[square] = cy
     return index
 
 
@@ -365,11 +413,13 @@ def extended_cycle(
     every choice other than moving nothing would leave the two shapes
     unequal.
     """
-    right_all = all_cycles(pair.right, coloring)
-    seed = _cycle_with(right_all, label)
+    seed = cycle_of(pair.right, label, coloring)
     if not seed.open:
         return (seed,), ()
-    index = (_open_by_square(right_all), _open_by_square(all_cycles(pair.left, coloring)))
+    index = (
+        _open_by_square(open_cycles(pair.right, coloring)),
+        _open_by_square(open_cycles(pair.left, coloring)),
+    )
     taken: tuple[list[Cycle], list[Cycle]] = ([seed], [])
     ends = (_ends(seed), set())
     while ends[0] != ends[1]:

@@ -23,11 +23,15 @@ parity.  The tests keep the walk through open native cycles, in either
 direction, as its oracle: on every standard tableau of rank <= 6 in both
 types, and on seeded random words of ranks 8-64, the walk reaches exactly one
 special tableau, and it is this move's image.
+
+Annealing and the projection read the open cycles alone
+(``cycles.open_cycles``), which skips the standardness test and the build
+of every closed component.
 """
 
 from __future__ import annotations
 
-from .cycles import Coloring, Cycle, all_cycles, move_through, move_through_set
+from .cycles import Coloring, Cycle, move_through, move_through_set, open_cycles
 from .insertion import rs
 from .partitions import Partition, is_orbit_partition, is_special, n_statistic
 from .signed_perm import SignedPerm
@@ -80,8 +84,8 @@ def candidate_moves(tableau: DominoTableau) -> list[tuple[Cycle, Partition]]:
     parity = 1 if tableau.lie_type == "C" else 0  # odd-length rows for C, even for B
     out = []
     for coloring in (Coloring.NATIVE, Coloring.TYPE_D):
-        for cy in all_cycles(tableau, coloring):
-            if not cy.open or not cy.down:
+        for cy in open_cycles(tableau, coloring):
+            if not cy.down:
                 continue
             if rows[cy.hole[0] - 1] % 2 != parity:
                 continue
@@ -155,8 +159,7 @@ def special_projection(tableau: DominoTableau) -> DominoTableau:
     """
     boxed = tableau.lie_type == "B"
     projected = move_through_set(
-        tableau,
-        [cy for cy in all_cycles(tableau, Coloring.NATIVE) if cy.open and cy.boxed == boxed],
+        tableau, [cy for cy in open_cycles(tableau, Coloring.NATIVE) if cy.boxed == boxed]
     )
     if not is_special(projected.shape(), projected.lie_type):
         raise RuntimeError(f"special projection reached non-special shape {projected.shape()}")

@@ -92,7 +92,7 @@ def length(w: SignedPerm) -> int:
 def right_descents(w: SignedPerm) -> frozenset[int]:
     """Indices i with length(w * s_i) < length(w)."""
     out = set()
-    if w[0] < 0:
+    if w and w[0] < 0:
         out.add(1)
     for i in range(2, len(w) + 1):
         if w[i - 2] > w[i - 1]:

@@ -33,8 +33,8 @@ placed cell that stays taken, runs the rule on those cells and adjusts the
 source's row lengths; the cost is one copy of the map and of the domino
 tuple, plus checks on the moved cells alone.  A relocation that fails goes
 to the full constructor, so it is refused with the constructor's own
-message.  Insertion and ``cycles.all_cycles`` run the same rule on the
-cells their moves change.
+message.  Insertion and the cycle builders of ``cycles`` run the same rule
+on the cells their moves change, each cell once.
 
 Tableaux are immutable values (``Value``, the base of every value type of
 the library); "mutating" helpers return new objects that share the
@@ -296,12 +296,12 @@ def move_cells(
     owner: dict[Cell, int],
     old: Mapping[int, Iterable[Cell]],
     new: Mapping[int, Iterable[Cell]],
-) -> list[Cell] | None:
+) -> set[Cell] | None:
     """Move each label of ``new`` in the owner map, in place, from its
     ``old`` cells to its new ones.  Returns the cells whose standardness the
-    move can change: the placed cells and the cells right of or below a
-    vacated or placed one.  Returns None, leaving the map part-way, when a
-    new cell lies off the quadrant or on a cell that stays taken."""
+    move can change, each once: the placed cells and the cells right of or
+    below a vacated or placed one.  Returns None, leaving the map part-way,
+    when a new cell lies off the quadrant or on a cell that stays taken."""
     touched: list[Cell] = []
     for lbl in new:
         for r, c in old[lbl]:
@@ -314,7 +314,7 @@ def move_cells(
                 return None
             owner[cell] = lbl
             touched += (cell, (r + 1, c), (r, c + 1))
-    return touched
+    return set(touched)
 
 
 def make_tableau(

@@ -25,6 +25,7 @@ from domino_tableaux.cycles import (
     move_through,
     move_through_extended,
     move_through_set,
+    open_cycles,
 )
 from domino_tableaux.enumeration import all_sdt
 from domino_tableaux.insertion import rs
@@ -361,6 +362,32 @@ def test_cycle_of_walks_to_the_all_cycles_answer(t):
         cycle_of(T31, 9, NATIVE)
 
 
+@pytest.mark.parametrize("t", ["C", "B"])
+def test_open_cycles_are_the_open_cycles_of_all_cycles(t):
+    # open_cycles skips the components whose move keeps their cell set; it
+    # must give exactly the open cycles of all_cycles, in order, moves and
+    # sources included, on every standard tableau of rank <= 6 and on seeded
+    # words of ranks 8-64.  Frozen components all change their cell set, so
+    # the standardness test is what keeps them out.
+    rng = random.Random(f"open-cycles-{t}")
+    tableaux = [tab for n in range(7) for tab in _sdt_of_rank(n, t)]
+    for n in (8, 12, 16, 24, 32, 64):
+        for _ in range(5):
+            pair = rs(random_signed_perm(rng, n), t)
+            tableaux += [pair.left, pair.right]
+    frozen = 0
+    for tab in tableaux:
+        for col in Coloring:
+            every = all_cycles(tab, col)
+            want = tuple(cy for cy in every if cy.open)
+            got = open_cycles(tab, col)
+            assert got == want, (tab, col)
+            assert [cy.moves for cy in got] == [cy.moves for cy in want]
+            assert all(cy.source is tab for cy in got)
+            frozen += sum(not cy.moves for cy in every)
+    assert frozen > 1000  # frozen labels: only the standardness test keeps them out
+
+
 def test_standardness_test_restores_its_scratch_map():
     # all_cycles tries each component's move on one scratch copy of the
     # owner map; every try, standard or not, must leave the copy as it was
@@ -372,7 +399,8 @@ def test_standardness_test_restores_its_scratch_map():
                 scratch = dict(owner)
                 original = {d.label: d.cells for d in tab.dominoes}
                 for col in Coloring:
-                    moved = {d.label: _moved_position(d, owner, col) for d in tab.dominoes}
+                    parity = col.fixed_parity
+                    moved = {d.label: _moved_position(d, owner, parity) for d in tab.dominoes}
                     for size in (1, 2):
                         for labels in itertools.combinations(original, size):
                             step = {k: moved[k] for k in labels}

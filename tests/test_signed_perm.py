@@ -124,5 +124,7 @@ def test_descent_examples():
     assert right_descents((1, -2)) == frozenset({2})
     assert right_descents((-1, 2)) == frozenset({1})
     assert right_descents(identity(3)) == frozenset()
+    # the rank-0 identity, which parse_perm("") gives, has no descents
+    assert right_descents(()) == left_descents(()) == frozenset()
     for w in enumerate_group(3):
         assert left_descents(w) == right_descents(inverse(w))
