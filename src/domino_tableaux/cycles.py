@@ -70,11 +70,6 @@ def is_fixed(cell: Cell, coloring: Coloring) -> bool:
     return (cell[0] + cell[1]) % 2 == coloring.fixed_parity
 
 
-def fixed_cell(cells: Sequence[Cell], coloring: Coloring) -> Cell:
-    a, b = cells
-    return a if is_fixed(a, coloring) else b
-
-
 def _block_id(cell: Cell, coloring: Coloring) -> tuple[int, int]:
     # 2x2 blocks pairing rows {1,2}, {3,4}, ...; the column pairing is
     # phased so every block's top-left corner is a variable square of the

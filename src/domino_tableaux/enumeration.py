@@ -9,6 +9,12 @@ check.
 annealer's own ``candidate_moves`` offers, the one definition of an
 admissible move, and the tests check ``candidate_moves`` against that
 definition, re-derived, on every standard tableau of rank <= 6.
+
+Each report checks its own instance count where a closed form exists:
+2^n n! for the suites over the group, the number of standard tableaux of
+the rank for those over the tableaux, and 1 for ``counting-identities``.
+``cycle-involution`` and ``operator-cell-compat`` have none; the tests pin
+theirs.
 """
 
 from __future__ import annotations
@@ -125,6 +131,15 @@ def _group_shapes(n: int, lie_type: str):
     return partitions_of(2 * n + (1 if lie_type == "B" else 0))
 
 
+def _group_order(n, lie_type):
+    return 2**n * math.factorial(n)
+
+
+def _tableaux_of_rank(n, lie_type):
+    """The number of standard tableaux of the rank (Stanton-White)."""
+    return sum(count_sdt(shape, lie_type) for shape in _group_shapes(n, lie_type))
+
+
 def _left_tableaux(n, lie_type):
     """Every standard tableau of the rank, in serialized order: the left
     tableaux of the rank-n group, as the rs-bijection suite checks."""
@@ -171,7 +186,7 @@ def _suite_rs_bijection(n, lie_type, report):
 def _suite_counting_identities(n, lie_type, report):
     report["instances"] += 1
     total = sum(count_sdt(shape, lie_type) ** 2 for shape in _group_shapes(n, lie_type))
-    expected = 2**n * math.factorial(n)
+    expected = _group_order(n, lie_type)
     if total != expected:
         report["failures"].append(f"sum of squared counts {total} != {expected}")
 
@@ -189,7 +204,7 @@ def _suite_involution_criterion(n, lie_type, report):
                 f"w={format_perm(w)}: involution={is_invol} but tableau "
                 f"equality={pair.left == pair.right}"
             )
-    total = sum(count_sdt(shape, lie_type) for shape in _group_shapes(n, lie_type))
+    total = _tableaux_of_rank(n, lie_type)
     if involutions != total:
         report["failures"].append(f"{involutions} involutions vs {total} tableaux")
 
@@ -327,28 +342,40 @@ def _suite_surjectivity(n, lie_type, report):
         )
 
 
+# suite -> (check, the instance count it must reach in closed form, or None
+# where none is known: the cycles of every tableau, the operator images of
+# every element)
 _SUITES = {
-    "rs-bijection": _suite_rs_bijection,
-    "involution-criterion": _suite_involution_criterion,
-    "inverse-transpose": _suite_inverse_transpose,
-    "cycle-involution": _suite_cycle_involution,
-    "operator-cell-compat": _suite_operator_cell_compat,
-    "pipeline-confluence": _suite_pipeline_confluence,
-    "counting-identities": _suite_counting_identities,
-    "surjectivity": _suite_surjectivity,
+    "rs-bijection": (_suite_rs_bijection, _group_order),
+    "involution-criterion": (_suite_involution_criterion, _group_order),
+    "inverse-transpose": (_suite_inverse_transpose, _group_order),
+    "cycle-involution": (_suite_cycle_involution, None),
+    "operator-cell-compat": (_suite_operator_cell_compat, None),
+    "pipeline-confluence": (_suite_pipeline_confluence, _tableaux_of_rank),
+    "counting-identities": (_suite_counting_identities, lambda n, lie_type: 1),
+    "surjectivity": (_suite_surjectivity, _tableaux_of_rank),
 }
 SUITE_NAMES = tuple(_SUITES)
 
 
 def verify_suite(name: str, n: int, lie_type: str) -> VerificationReport:
-    """Run one named exhaustive check and report instances and failures."""
+    """Run one named exhaustive check and report instances and failures;
+    a suite whose instance count has a closed form fails when it checks
+    any other number."""
     check_group_type(lie_type)
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if n < 1:
         raise ValueError("n must be at least 1")
+    check, closed_form = _SUITES[name]
     state = {"instances": 0, "failures": []}
-    _SUITES[name](n, lie_type, state)
+    check(n, lie_type, state)
+    if closed_form is not None:
+        expected = closed_form(n, lie_type)
+        if state["instances"] != expected:
+            state["failures"].append(
+                f"checked {state['instances']} instances, expected {expected}"
+            )
     return VerificationReport(
         suite=name,
         lie_type=lie_type,

@@ -15,6 +15,7 @@ from domino_tableaux.enumeration import SUITE_NAMES, count_sdt
 from domino_tableaux.insertion import pair_serialize, pair_to_json_dict, rs
 from domino_tableaux.pipeline import special_projection
 from domino_tableaux.tableau import serialize, to_json_dict
+from test_enumeration import CLOSED_FORM_SUITES, drop_one_instance
 
 
 def run(capsys, *argv):
@@ -283,6 +284,18 @@ def test_verify_has_no_sample_or_seed(capsys, option):
 def test_verify_pipeline_confluence_runs_every_tableau(capsys):
     code, out, _ = run(capsys, "verify", "--type", "C", "pipeline-confluence", "--n", "3")
     assert code == 0 and json.loads(out)["instances"] == 20
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_SUITES)
+def test_verify_exits_one_on_a_wrong_instance_count(capsys, monkeypatch, name):
+    code, out, _ = run(capsys, "verify", "--type", "C", name, "--n", "3")
+    expected = json.loads(out)["instances"]
+    assert code == 0
+    drop_one_instance(monkeypatch, name)
+    code, out, _ = run(capsys, "verify", "--type", "C", name, "--n", "3")
+    doc = json.loads(out)
+    assert code == 1 and doc["passed"] is False
+    assert f"checked {expected - 1} instances, expected {expected}" in doc["failures"]
 
 
 @pytest.mark.parametrize("label", ["x", "1,x", ""])

@@ -19,7 +19,6 @@ from domino_tableaux.cycles import (
     all_cycles,
     cycle_of,
     extended_cycle,
-    fixed_cell,
     is_boxed,
     is_fixed,
     move_through,
@@ -51,6 +50,12 @@ def C(*dominoes):
 
 
 # --- oracle: every standard re-tiling, by exhaustive search ---
+
+
+def fixed_cell(cells, coloring):
+    """The one cell of a domino that stays put under the coloring."""
+    a, b = cells
+    return a if is_fixed(a, coloring) else b
 
 
 @lru_cache(maxsize=None)

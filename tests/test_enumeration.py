@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ from functools import lru_cache
 import pytest
 
 import domino_tableaux
+from domino_tableaux import enumeration
 from domino_tableaux.enumeration import (
     SUITE_NAMES,
     _core_shape,
@@ -160,6 +162,55 @@ def test_suites_pass_at_rank_two(name, t):
     doc = report.to_json_dict()
     assert doc["suite"] == name and doc["type"] == t and doc["n"] == 2
     assert doc["passed"] is True
+
+
+# the suites whose instance count has a closed form
+CLOSED_FORM_SUITES = (
+    "rs-bijection",
+    "involution-criterion",
+    "inverse-transpose",
+    "pipeline-confluence",
+    "surjectivity",
+    "counting-identities",
+)
+
+
+def drop_one_instance(monkeypatch, name):
+    """Make the suite check one instance fewer: the group loses its first
+    element, or the first shape with tableaux loses its first tableau.
+    ``counting-identities`` reads neither, so its check is emptied."""
+    if name in ("rs-bijection", "involution-criterion", "inverse-transpose"):
+        group = enumeration.enumerate_group
+        monkeypatch.setattr(
+            enumeration, "enumerate_group", lambda n: itertools.islice(group(n), 1, None)
+        )
+    elif name in ("pipeline-confluence", "surjectivity"):
+        build, dropped = enumeration.all_sdt, []
+
+        def all_but_one(shape, lie_type):
+            tableaux = build(shape, lie_type)
+            if tableaux and not dropped:
+                dropped.append(tableaux.pop(0))
+            return tableaux
+
+        monkeypatch.setattr(enumeration, "all_sdt", all_but_one)
+    else:
+        _, closed_form = enumeration._SUITES[name]
+        monkeypatch.setitem(
+            enumeration._SUITES, name, (lambda n, lie_type, report: None, closed_form)
+        )
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_SUITES)
+@pytest.mark.parametrize("t", ["C", "B"])
+def test_suite_checks_its_own_instance_count(monkeypatch, name, t):
+    full = verify_suite(name, 3, t)
+    assert full.passed
+    drop_one_instance(monkeypatch, name)
+    report = verify_suite(name, 3, t)
+    assert report.instances == full.instances - 1
+    assert f"checked {report.instances} instances, expected {full.instances}" in report.failures
+    assert report.passed is False
 
 
 def test_unknown_suite_rejected():
