@@ -79,11 +79,11 @@ _EXPORTS = {
         "compose",
         "enumerate_group",
         "format_perm",
-        "generator",
+        "generator",  # s_i itself: apply_generator(w, i) is compose(w, generator(i, n))
         "identity",
         "inverse",
         "left_descents",  # the left descent set, right_descents' partner
-        "length",
+        "length",  # the Coxeter length, by which descents and the weak order are defined
         "parse_perm",
         "right_descents",
     ),

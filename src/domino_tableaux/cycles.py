@@ -66,10 +66,6 @@ class Coloring(enum.Enum):
         return 1 if self is Coloring.NATIVE else 0
 
 
-def is_fixed(cell: Cell, coloring: Coloring) -> bool:
-    return (cell[0] + cell[1]) % 2 == coloring.fixed_parity
-
-
 def _block_id(cell: Cell, coloring: Coloring) -> tuple[int, int]:
     # 2x2 blocks pairing rows {1,2}, {3,4}, ...; the column pairing is
     # phased so every block's top-left corner is a variable square of the
@@ -315,6 +311,7 @@ def cycle_of(tableau: DominoTableau, label: int, coloring: Coloring) -> Cycle:
     neighbours.
     """
     owner = tableau._owner
+    parity = coloring.fixed_parity
     original: dict[int, tuple[Cell, Cell]] = {}
     moved: dict[int, tuple[Cell, Cell]] = {}
 
@@ -322,7 +319,7 @@ def cycle_of(tableau: DominoTableau, label: int, coloring: Coloring) -> Cycle:
         if lbl not in moved:
             d = tableau.domino(lbl)
             original[lbl] = d.cells
-            moved[lbl] = _moved_position(d, owner, coloring.fixed_parity)
+            moved[lbl] = _moved_position(d, owner, parity)
         return moved[lbl]
 
     component = [label]
@@ -334,7 +331,7 @@ def cycle_of(tableau: DominoTableau, label: int, coloring: Coloring) -> Cycle:
                 seen.add(lbl)
                 component.append(lbl)
         a, b = original[k]
-        v = b if is_fixed(a, coloring) else a
+        v = b if (a[0] + a[1]) % 2 == parity else a
         r, c = v
         for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
             lbl = owner.get(nb)

@@ -53,6 +53,7 @@ from .tableau import (
     from_json_dict,
     make_tableau,
     misplaced_cell,
+    read_json,
     to_json_dict,
 )
 
@@ -250,8 +251,4 @@ def pair_serialize(pair: TableauPair) -> str:
 
 
 def pair_deserialize(text: str) -> TableauPair:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TableauError(f"not valid JSON: {exc}") from exc
-    return pair_from_json_dict(doc)
+    return pair_from_json_dict(read_json(text))

@@ -158,17 +158,6 @@ class Domino(Value):
         return self.cells[0][0] == self.cells[1][0]
 
 
-def is_young(cells: frozenset[Cell] | set[Cell]) -> bool:
-    """Is the cell set the diagram of a partition?  The reference form of
-    the prefix definition; the tests check ``misplaced_cell`` against it."""
-    for r, c in cells:
-        if r > 1 and (r - 1, c) not in cells:
-            return False
-        if c > 1 and (r, c - 1) not in cells:
-            return False
-    return True
-
-
 def shape_of_cells(cells: Iterable[Cell]) -> Partition:
     rows: dict[int, int] = {}
     for r, _ in cells:
@@ -341,19 +330,21 @@ def check_contiguous(labels: Sequence[int]) -> None:
 
 def replace_cells(tableau: DominoTableau, moves: Mapping[int, Iterable[Cell]]) -> DominoTableau:
     """New tableau with the given labels relocated; the other dominoes are
-    shared.  Only the relocated dominoes and the cells the move can change
-    are checked, on a copy of the source's owner map; a relocation that
-    fails that check goes to the full constructor, which refuses it with
-    its own message."""
+    shared, and a label the tableau does not hold raises ``KeyError``.
+    Only the relocated dominoes and the cells the move can change are
+    checked, on a copy of the source's owner map; a relocation that fails
+    that check goes to the full constructor, which refuses it with its own
+    message."""
     ds = list(tableau.dominoes)
     old: dict[int, tuple[Cell, Cell]] = {}
     new: dict[int, tuple[Cell, Cell]] = {}
     for lbl in sorted(moves):
         i = _position(ds, lbl)
-        if i >= 0:
-            old[lbl] = ds[i].cells
-            ds[i] = Domino(lbl, moves[lbl])
-            new[lbl] = ds[i].cells
+        if i < 0:
+            raise KeyError(f"no domino labeled {lbl}")
+        old[lbl] = ds[i].cells
+        ds[i] = Domino(lbl, moves[lbl])
+        new[lbl] = ds[i].cells
     dominoes = tuple(ds)
     owner = dict(tableau._owner)
     touched = move_cells(owner, old, new)
@@ -414,9 +405,13 @@ def serialize(tableau: DominoTableau) -> str:
     return json.dumps(to_json_dict(tableau), sort_keys=True)
 
 
-def deserialize(text: str) -> DominoTableau:
+def read_json(text: str):
+    """The document that tableau or pair JSON text holds."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise TableauError(f"not valid JSON: {exc}") from exc
-    return from_json_dict(doc)
+
+
+def deserialize(text: str) -> DominoTableau:
+    return from_json_dict(read_json(text))

@@ -2,6 +2,7 @@ import contextlib
 import decimal
 import io
 import json
+import random
 import sys
 import time
 
@@ -13,9 +14,16 @@ from domino_tableaux.cli import COUNT_MAX_CELLS, OPERATOR_NAMES, main
 from domino_tableaux.cycles import Coloring, move_through_extended
 from domino_tableaux.enumeration import SUITE_NAMES, count_sdt
 from domino_tableaux.insertion import pair_serialize, pair_to_json_dict, rs
+from domino_tableaux.partitions import is_special
 from domino_tableaux.pipeline import special_projection
+from domino_tableaux.signed_perm import format_perm, parse_perm
 from domino_tableaux.tableau import serialize, to_json_dict
 from test_enumeration import CLOSED_FORM_SUITES, drop_one_instance
+from test_insertion import random_signed_perm
+
+# A shuffle of 1..64, then each sign by a coin flip; its type-B recording
+# tableau has a shape that is not special.
+RANK_64_WORD = random_signed_perm(random.Random(64), 64)
 
 
 def run(capsys, *argv):
@@ -41,13 +49,16 @@ def test_rs_then_inverse_round_trip(capsys):
     assert json.loads(out2) == {"word": "-2 1 3"}
 
 
-@pytest.mark.parametrize("lie_type", ["C", "B"])
-def test_empty_word_round_trips(lie_type):
-    # dtab rs --type T "" | dtab inverse -
-    code, out, err = _run_with_stdin(["rs", "--type", lie_type, ""], "")
+@pytest.mark.parametrize(
+    "lie_type, w", [("C", ()), ("B", ()), ("B", RANK_64_WORD)], ids=["C", "B", "B64"]
+)
+def test_empty_word_round_trips(lie_type, w):
+    # dtab rs --type T "w" | dtab inverse -, at rank 0 and at rank 64
+    text = format_perm(w)
+    code, out, err = _run_with_stdin(["rs", "--type", lie_type, text], "")
     assert (code, err) == (0, "")
-    assert json.loads(out) == pair_to_json_dict(rs((), lie_type))
-    assert _run_with_stdin(["inverse", "-"], out) == (0, '{"word": ""}\n', "")
+    assert json.loads(out) == pair_to_json_dict(rs(w, lie_type))
+    assert _run_with_stdin(["inverse", "-"], out) == (0, json.dumps({"word": text}) + "\n", "")
 
 
 def test_orbital_example(capsys):
@@ -81,10 +92,18 @@ def test_orbital_ascii(capsys):
 
 
 def test_special_command(capsys):
-    code, out, _ = run(capsys, "special", "--type", "C", "-1 2")
-    assert code == 0
-    expected = special_projection(rs((-1, 2), "C").right)
-    assert json.loads(out) == {"tableau": to_json_dict(expected)}
+    # both recording shapes are not special; the projection is, and fed
+    # back in as tableau JSON on stdin it comes back unchanged
+    for lie_type, w in (("C", (-1, 2)), ("B", RANK_64_WORD)):
+        right = rs(w, lie_type).right
+        assert not is_special(right.shape(), lie_type)
+        code, out, _ = run(capsys, "special", "--type", lie_type, format_perm(w))
+        assert code == 0
+        expected = special_projection(right)
+        assert is_special(expected.shape(), lie_type)
+        assert json.loads(out) == {"tableau": to_json_dict(expected)}
+        argv = ["special", "--type", lie_type, "-"]
+        assert _run_with_stdin(argv, serialize(expected)) == (0, out, "")
 
 
 def test_cycles_listing(capsys):
@@ -116,6 +135,18 @@ def test_move_pair_is_extended(capsys):
     assert code == 0
     expected = move_through_extended(pair, 2, Coloring.NATIVE)
     assert json.loads(out) == pair_to_json_dict(expected)
+    # the native closure of label 7 and the typeD closure of label 1 each
+    # change both tableaux, and moving through them again gives the pair back
+    for w, options in (
+        ("6 1 -7 5 -2 8 3 4", ["--label", "7"]),
+        ("1 3 -4 2", ["--label", "1", "--coloring", "typeD"]),
+    ):
+        text = pair_serialize(rs(parse_perm(w), "C"))
+        code, once, err = _run_with_stdin(["move", "-", *options], text)
+        assert (code, err) == (0, "")
+        before, after = json.loads(text), json.loads(once)
+        assert after["left"] != before["left"] and after["right"] != before["right"]
+        assert _run_with_stdin(["move", "-", *options], once) == (0, text + "\n", "")
 
 
 def test_move_pair_multiple_labels_rejected(capsys):

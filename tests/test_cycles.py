@@ -20,7 +20,6 @@ from domino_tableaux.cycles import (
     cycle_of,
     extended_cycle,
     is_boxed,
-    is_fixed,
     move_through,
     move_through_extended,
     move_through_set,
@@ -35,11 +34,11 @@ from domino_tableaux.tableau import (
     TableauError,
     core_cells,
     deserialize,
-    is_young,
     make_tableau,
     serialize,
 )
 from test_insertion import random_signed_perm
+from test_tableau import is_young
 
 NATIVE = Coloring.NATIVE
 TYPE_D = Coloring.TYPE_D
@@ -50,6 +49,10 @@ def C(*dominoes):
 
 
 # --- oracle: every standard re-tiling, by exhaustive search ---
+
+
+def is_fixed(cell, coloring):
+    return (cell[0] + cell[1]) % 2 == coloring.fixed_parity
 
 
 def fixed_cell(cells, coloring):
@@ -281,6 +284,10 @@ def test_move_through_set_empty_and_overlap():
     cy = cycle_of(H_PAIR, 2, NATIVE)
     with pytest.raises(ValueError):
         move_through_set(H_PAIR, (cy, cy))
+    # label-disjoint cycles of two colorings cannot move at once
+    t = C((1, ((1, 1), (1, 2))), (2, ((2, 1), (2, 2))), (3, ((1, 3), (1, 4))))
+    with pytest.raises(TableauError, match="^cannot mix colorings"):
+        move_through_set(t, (cycle_of(t, 1, NATIVE), cycle_of(t, 3, TYPE_D)))
 
 
 def test_cycle_of_another_tableau_is_rejected():

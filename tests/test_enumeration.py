@@ -216,6 +216,8 @@ def test_suite_checks_its_own_instance_count(monkeypatch, name, t):
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         verify_suite("no-such-suite", 2, "C")
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        verify_suite("rs-bijection", 0, "C")
 
 
 def test_verify_suite_keeps_no_tableaux():

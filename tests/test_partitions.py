@@ -39,6 +39,8 @@ def test_as_partition_rejects_bad_input():
 def test_partitions_of_counts():
     for n, expected in enumerate(PARTITION_COUNTS):
         assert sum(1 for _ in partitions_of(n)) == expected
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        next(partitions_of(-1))
 
 
 def _recursive_partitions(n, max_part=None):

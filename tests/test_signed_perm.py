@@ -60,6 +60,8 @@ def test_group_sizes():
     assert sum(1 for _ in enumerate_group(3)) == 48
     assert sum(1 for _ in enumerate_group(5)) == 3840
     assert len(set(enumerate_group(3))) == 48
+    with pytest.raises(ValueError, match="^rank must be >= 1$"):
+        next(enumerate_group(0))
 
 
 @given(signed_perms(4))
@@ -81,6 +83,13 @@ def test_generator_matrices():
     assert apply_generator((1, 2, 3), 2) == (2, 1, 3)
     assert apply_generator((2, -1, 3), 3) == (2, 3, -1)
     assert generator(2, 3) == (2, 1, 3)
+    w = (2, -1, 3)
+    assert all(apply_generator(w, i) == compose(w, generator(i, 3)) for i in (1, 2, 3))
+    for i in (0, 4):
+        with pytest.raises(ValueError, match=f"^generator index {i} out of range 1..3$"):
+            apply_generator(w, i)
+    with pytest.raises(ValueError, match="^size mismatch$"):
+        compose(w, (1, 2))
 
 
 def _bfs_lengths(n):

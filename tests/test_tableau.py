@@ -10,7 +10,6 @@ from domino_tableaux.tableau import (
     core_cells,
     deserialize,
     from_json_dict,
-    is_young,
     make_tableau,
     render,
     replace_cells,
@@ -172,6 +171,17 @@ def test_validate_is_prefix_shape_chain():
                 assert sum(b) - sum(a) == 2
                 assert all(x >= y for x, y in zip(b, b[1:]))
                 assert all(b[i] >= a[i] for i in range(len(a)))
+
+
+def is_young(cells):
+    """Is the cell set the diagram of a partition?  The reference form of
+    the prefix definition, which ``misplaced_cell`` reads cell by cell."""
+    for r, c in cells:
+        if r > 1 and (r - 1, c) not in cells:
+            return False
+        if c > 1 and (r, c - 1) not in cells:
+            return False
+    return True
 
 
 def _first_bad_prefix(lie_type, dominoes):
@@ -381,6 +391,8 @@ def test_replace_cells():
         replace_cells(t, {2: ((2, 2), (2, 3))})
     with pytest.raises(TableauError, match="^cell \\(1, 2\\) of domino 2 overlaps domino 1$"):
         replace_cells(t, {2: ((1, 2), (2, 2))})
+    with pytest.raises(KeyError, match="no domino labeled 99"):
+        replace_cells(t, {99: ((5, 5), (5, 6))})
 
 
 def test_replace_cells_keeps_gapped_labels():
