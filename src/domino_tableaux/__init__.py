@@ -65,7 +65,6 @@ _EXPORTS = {
         "transpose",
     ),
     "pipeline": (
-        "AnnealStep",
         "OrbitalResult",
         "PipelineStallError",
         "candidate_moves",

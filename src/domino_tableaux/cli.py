@@ -72,7 +72,7 @@ def _cycle_doc(cy) -> dict:
         "boxed": cy.boxed,
         "hole": list(cy.hole) if cy.hole else None,
         "corner": list(cy.corner) if cy.corner else None,
-        "down": cy.down if cy.open else None,
+        "down": cy.down,
     }
 
 
@@ -100,17 +100,18 @@ def _cmd_orbital(args) -> int:
 
     tab = _tableau_arg(args.input, args.type, "left")
     result = orbital_tableau(tab)
+    shapes = [cy.source.shape() for cy in result.trace] + [result.orbit]
     doc = {
         "tableau": to_json_dict(result.tableau),
         "orbit": list(result.orbit),
         "trace": [
             {
-                "labels": list(step.cycle.labels),
-                "coloring": step.coloring.value,
-                "shape_before": list(step.shape_before),
-                "shape_after": list(step.shape_after),
+                "labels": list(cy.labels),
+                "coloring": cy.coloring.value,
+                "shape_before": list(before),
+                "shape_after": list(after),
             }
-            for step in result.trace
+            for cy, before, after in zip(result.trace, shapes, shapes[1:])
         ],
     }
     text = "orbit {}\n{}".format(format_partition(result.orbit), render(result.tableau))
@@ -152,18 +153,12 @@ def _cmd_cycles(args) -> int:
 def _cmd_move(args) -> int:
     from .cycles import Coloring, cycle_of, move_through_extended, move_through_set
     from .insertion import pair_from_json_dict, pair_to_json_dict
-    from .tableau import from_json_dict, render, to_json_dict
+    from .tableau import from_json_dict, read_json, render, to_json_dict
 
-    text = _read_input(args.input).strip()
+    doc = read_json(_read_input(args.input))
     labels = args.label
     coloring = Coloring(args.coloring)
-    try:
-        doc = json.loads(text)
-    except ValueError:
-        doc = None
-    if not isinstance(doc, dict):
-        raise UsageError("input must be a tableau or pair JSON object")
-    if "left" in doc:
+    if isinstance(doc, dict) and "left" in doc:
         pair = pair_from_json_dict(doc)
         if len(labels) != 1:
             raise UsageError("extended moves take a single label")

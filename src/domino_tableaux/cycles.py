@@ -82,41 +82,44 @@ def is_boxed(cells: Sequence[Cell], coloring: Coloring) -> bool:
 
 
 class Cycle(Value):
-    _fields = ("labels", "coloring", "open", "hole", "corner", "down", "boxed")
+    _fields = ("labels", "coloring", "hole", "corner", "boxed")
     # D'(k) for each label, empty when the cycle is frozen, and the tableau
     # the cycle was found in; neither takes part in equality.
     __slots__ = (*_fields, "moves", "source")
     labels: tuple[int, ...]
     coloring: Coloring
-    open: bool
     hole: Cell | None
     corner: Cell | None
-    down: bool | None
     boxed: bool
     moves: tuple[tuple[Cell, Cell], ...]
-    source: DominoTableau | None
+    source: DominoTableau
 
     def __init__(
         self,
         labels: tuple[int, ...],
         coloring: Coloring,
-        open: bool,
         hole: Cell | None,
         corner: Cell | None,
-        down: bool | None,
         boxed: bool,
-        moves: tuple[tuple[Cell, Cell], ...] = (),
-        source: DominoTableau | None = None,
+        moves: tuple[tuple[Cell, Cell], ...],
+        source: DominoTableau,
     ) -> None:
         _set(self, "labels", labels)
         _set(self, "coloring", coloring)
-        _set(self, "open", open)
         _set(self, "hole", hole)
         _set(self, "corner", corner)
-        _set(self, "down", down)
         _set(self, "boxed", boxed)
         _set(self, "moves", moves)
         _set(self, "source", source)
+
+    @property
+    def open(self) -> bool:
+        return self.hole is not None
+
+    @property
+    def down(self) -> bool | None:
+        """Whether the corner lies below the hole; None for a closed cycle."""
+        return self.corner[0] > self.hole[0] if self.open else None
 
     def __reduce__(self):
         return Cycle, (*self._key(self), self.moves, self.source)
@@ -185,14 +188,12 @@ def _moving_cycle(
     boxed = is_boxed(original[labels[0]], coloring)
     moves = tuple(step[lbl] for lbl in labels)
     if new == old:
-        return Cycle(tuple(labels), coloring, False, None, None, None, boxed, moves, tableau)
+        return Cycle(tuple(labels), coloring, None, None, boxed, moves, tableau)
     holes, corners = old - new, new - old
     if len(holes) != 1 or len(corners) != 1:
         raise RuntimeError(f"open move must trade single cells, got {holes} / {corners}")
     hole, corner = holes.pop(), corners.pop()
-    return Cycle(
-        tuple(labels), coloring, True, hole, corner, corner[0] > hole[0], boxed, moves, tableau
-    )
+    return Cycle(tuple(labels), coloring, hole, corner, boxed, moves, tableau)
 
 
 def _cell_sets(
@@ -224,7 +225,7 @@ def _component_cycles(
     frozen = []
     for lbl in labels:
         boxed = is_boxed(original[lbl], coloring)
-        frozen.append(Cycle((lbl,), coloring, False, None, None, None, boxed, (), tableau))
+        frozen.append(Cycle((lbl,), coloring, None, None, boxed, (), tableau))
     return frozen
 
 

@@ -104,7 +104,7 @@ class VerificationReport(Value):
     failures: tuple[str, ...]
 
     def __init__(
-        self, suite: str, lie_type: str, n: int, instances: int, failures: tuple[str, ...] = ()
+        self, suite: str, lie_type: str, n: int, instances: int, failures: tuple[str, ...]
     ) -> None:
         _set(self, "suite", suite)
         _set(self, "lie_type", lie_type)

@@ -24,15 +24,17 @@ from .tableau import DominoTableau, TableauError, Value, _set, replace_cells
 
 
 class OperatorDomainReport(Value):
-    __slots__ = _fields = ("defined", "case", "reason")
-    defined: bool
+    __slots__ = _fields = ("case", "reason")
     case: str | None
     reason: str
 
-    def __init__(self, defined: bool, case: str | None, reason: str) -> None:
-        _set(self, "defined", defined)
+    def __init__(self, case: str | None, reason: str) -> None:
         _set(self, "case", case)
         _set(self, "reason", reason)
+
+    @property
+    def defined(self) -> bool:
+        return self.case is not None
 
     def to_json_dict(self) -> dict:
         return {"defined": self.defined, "case": self.case, "reason": self.reason}
@@ -46,18 +48,14 @@ class OperatorUndefinedError(ValueError):
 
 def equal_length_domain(w: SignedPerm, i: int, j: int) -> OperatorDomainReport:
     if not (i >= 2 and j >= 2 and abs(i - j) == 1):
-        return OperatorDomainReport(
-            False, None, f"indices {i},{j} are not adjacent swap generators"
-        )
+        return OperatorDomainReport(None, f"indices {i},{j} are not adjacent swap generators")
     if max(i, j) > len(w):
-        return OperatorDomainReport(False, None, f"index {max(i, j)} exceeds rank {len(w)}")
+        return OperatorDomainReport(None, f"index {max(i, j)} exceeds rank {len(w)}")
     rd = right_descents(w)
     if (i in rd) == (j in rd):
         both = "both" if i in rd else "neither"
-        return OperatorDomainReport(
-            False, None, f"{both} of {i},{j} are right descents of {w}"
-        )
-    return OperatorDomainReport(True, f"descent {{{i if i in rd else j}}}", "ok")
+        return OperatorDomainReport(None, f"{both} of {i},{j} are right descents of {w}")
+    return OperatorDomainReport(f"descent {{{i if i in rd else j}}}", "ok")
 
 
 def wall_cross_equal_length(w: SignedPerm, i: int, j: int) -> SignedPerm:
@@ -114,16 +112,16 @@ def _swap_positions(tableau: DominoTableau, a: int, b: int) -> DominoTableau:
 
 def unequal_length_domain(pair: TableauPair) -> OperatorDomainReport:
     if len(pair.right.dominoes) < 2:
-        return OperatorDomainReport(False, None, "needs at least two dominoes")
+        return OperatorDomainReport(None, "needs at least two dominoes")
     head = pair.right.sub_shape(2)
     if pair.right.lie_type == "C":
         wanted = {(3, 1): "(3,1)", (2, 2): "(2,2)"}
     else:
         wanted = {(3, 2): "(3,2)", (3, 1, 1): "(3,1,1)"}
     if head in wanted:
-        return OperatorDomainReport(True, wanted[head], "ok")
+        return OperatorDomainReport(wanted[head], "ok")
     return OperatorDomainReport(
-        False, None, f"first two dominoes fill {head}, not one of {sorted(wanted.values())}"
+        None, f"first two dominoes fill {head}, not one of {sorted(wanted.values())}"
     )
 
 
@@ -149,25 +147,19 @@ def type_d_domain(pair: TableauPair) -> OperatorDomainReport:
     right = pair.right
     if right.lie_type == "C":
         if len(right.dominoes) < 4:
-            return OperatorDomainReport(False, None, "needs at least four dominoes")
+            return OperatorDomainReport(None, "needs at least four dominoes")
         head = right.sub_shape(4)
         if head != (4, 3, 1):
-            return OperatorDomainReport(
-                False, None, f"first four dominoes fill {head}, not (4,3,1)"
-            )
+            return OperatorDomainReport(None, f"first four dominoes fill {head}, not (4,3,1)")
         if right.dominoes[1].horizontal:
-            return OperatorDomainReport(
-                False, None, "second domino must be vertical in column 1"
-            )
-        return OperatorDomainReport(True, "(4,3,1)", "ok")
+            return OperatorDomainReport(None, "second domino must be vertical in column 1")
+        return OperatorDomainReport("(4,3,1)", "ok")
     if len(right.dominoes) < 3:
-        return OperatorDomainReport(False, None, "needs at least three dominoes")
+        return OperatorDomainReport(None, "needs at least three dominoes")
     head = right.sub_shape(3)
     if head != (4, 2, 1):
-        return OperatorDomainReport(
-            False, None, f"first three dominoes fill {head}, not (4,2,1)"
-        )
-    return OperatorDomainReport(True, "(4,2,1)", "ok")
+        return OperatorDomainReport(None, f"first three dominoes fill {head}, not (4,2,1)")
+    return OperatorDomainReport("(4,2,1)", "ok")
 
 
 def wall_cross_type_d(pair: TableauPair) -> TableauPair:

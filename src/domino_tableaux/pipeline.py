@@ -14,7 +14,10 @@ one definition of an admissible move: the ``pipeline-confluence`` suite
 explores every move it offers, and the tests check it against the
 definition, re-derived, on every standard tableau of rank <= 6.  That the
 move order does not affect the result is verified through rank 4 only; at
-rank 5 some tableaux reach two different terminal tableaux.
+rank 5 some tableaux reach two different terminal tableaux.  The trace is
+the cycles moved through, in order.  Each cycle carries its source tableau,
+so a step's shape before is its source's shape, and its shape after is the
+next cycle's source shape, or the result's shape for the last step.
 
 The special-shape projection is one simultaneous move through every open
 native-coloring cycle that is unboxed (type C) or boxed (type B); these are
@@ -42,34 +45,18 @@ class PipelineStallError(RuntimeError):
     """Shape is not an orbit partition yet no admissible move exists."""
 
 
-class AnnealStep(Value):
-    __slots__ = _fields = ("cycle", "coloring", "shape_before", "shape_after")
-    cycle: Cycle
-    coloring: Coloring
-    shape_before: Partition
-    shape_after: Partition
-
-    def __init__(
-        self, cycle: Cycle, coloring: Coloring, shape_before: Partition, shape_after: Partition
-    ) -> None:
-        _set(self, "cycle", cycle)
-        _set(self, "coloring", coloring)
-        _set(self, "shape_before", shape_before)
-        _set(self, "shape_after", shape_after)
-
-
 class OrbitalResult(Value):
-    __slots__ = _fields = ("tableau", "orbit", "trace")
+    __slots__ = _fields = ("tableau", "trace")
     tableau: DominoTableau
-    orbit: Partition
-    trace: tuple[AnnealStep, ...]
+    trace: tuple[Cycle, ...]
 
-    def __init__(
-        self, tableau: DominoTableau, orbit: Partition, trace: tuple[AnnealStep, ...]
-    ) -> None:
+    def __init__(self, tableau: DominoTableau, trace: tuple[Cycle, ...]) -> None:
         _set(self, "tableau", tableau)
-        _set(self, "orbit", orbit)
         _set(self, "trace", trace)
+
+    @property
+    def orbit(self) -> Partition:
+        return self.tableau.shape()
 
 
 def candidate_moves(tableau: DominoTableau) -> list[tuple[Cycle, Partition]]:
@@ -123,20 +110,20 @@ def orbital_tableau(tableau: DominoTableau) -> OrbitalResult:
     shape = tableau.shape()
     size = sum(shape)
     bound = size * (size - 1) // 2 - n_statistic(shape) + 1
-    trace: list[AnnealStep] = []
+    trace: list[Cycle] = []
     current = tableau
     for _ in range(bound):
         shape = current.shape()
         if is_orbit_partition(shape, current.lie_type):
-            return OrbitalResult(current, shape, tuple(trace))
+            return OrbitalResult(current, tuple(trace))
         moves = candidate_moves(current)
         if not moves:
             raise PipelineStallError(
                 f"no admissible move at shape {shape} ({current.lie_type})"
             )
-        cycle, new_shape = _preferred(moves)
+        cycle, _ = _preferred(moves)
         current = move_through(current, cycle)
-        trace.append(AnnealStep(cycle, cycle.coloring, shape, new_shape))
+        trace.append(cycle)
     raise PipelineStallError(
         f"annealing took more than {bound - 1} steps, the most that a "
         "strictly rising n(shape) allows"

@@ -7,6 +7,7 @@ failure, where they pinpoint the gate that broke.
 import random
 import time
 
+from domino_tableaux.cycles import move_through
 from domino_tableaux.enumeration import verify_suite
 from domino_tableaux.insertion import TableauPair, rs
 from domino_tableaux.partitions import dominates, is_orbit_partition, is_special
@@ -85,12 +86,13 @@ def test_criterion_06_pipeline_soundness():
                 result = orbital_tableau(left)  # raises = hard error
                 ok = ok and is_orbit_partition(result.orbit, t)
                 ok = ok and result.tableau.shape() == result.orbit
-                # the steps chain from the left tableau's shape down to the orbit
-                shapes = [left.shape()] + [s.shape_after for s in result.trace]
-                ok = ok and shapes[-1] == result.orbit
-                for step, before, after in zip(result.trace, shapes, shapes[1:]):
-                    ok = ok and step.shape_before == before
-                    ok = ok and before != after and dominates(before, after)
+                # the steps chain from the left tableau down to the annealed one
+                sources = [cy.source for cy in result.trace] + [result.tableau]
+                ok = ok and sources[0] == left
+                for cy, after in zip(result.trace, sources[1:]):
+                    ok = ok and move_through(cy.source, cy) == after
+                    before = cy.source.shape()
+                    ok = ok and before != after.shape() and dominates(before, after.shape())
             if n == 4:
                 elapsed_at_4 += time.perf_counter() - start
     _gate(

@@ -1,6 +1,7 @@
 """The benchmark's contract with the library, checked on every Python the
-tests run on: each workload of ``perfbench/run.py`` sets up, and every
-library name that ``perfbench/workloads.py`` calls resolves on the package.
+tests run on: each workload of ``perfbench/run.py`` sets up and runs a few
+traced operations without a wrong answer, and every library name that
+``perfbench/workloads.py`` calls resolves on the package.
 
 These tests read and run ``perfbench/`` only; they change nothing there.
 """
@@ -34,23 +35,35 @@ def _load(name):
 WORKLOAD_NAMES = _load("run").WORKLOAD_NAMES
 
 
-@pytest.mark.parametrize("workload", WORKLOAD_NAMES)
-def test_every_workload_sets_up(workload):
+def _worker(workload, *extra):
+    """stdout of one ``perfbench/worker.py`` run on seed 1, as lines."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    argv = [sys.executable, str(PERFBENCH / "worker.py"), "--workload", workload]
+    argv = [sys.executable, str(PERFBENCH / "worker.py"), "--workload", workload, "--seed", "1"]
     proc = subprocess.run(
-        argv + ["--seed", "1", "--setup-only"],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-        env=env,
-        timeout=120,
+        argv + list(extra), capture_output=True, text=True, cwd=ROOT, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 2 and lines[0] == "READY", proc.stdout
+    return proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("workload", WORKLOAD_NAMES)
+def test_every_workload_sets_up(workload):
+    lines = _worker(workload, "--setup-only")
+    assert len(lines) == 2 and lines[0] == "READY", lines
     assert isinstance(json.loads(lines[1]), dict)
+
+
+@pytest.mark.parametrize("workload", WORKLOAD_NAMES)
+def test_every_workload_runs_traced(workload):
+    # the workloads' checks and the tracer read library attributes that
+    # the package's name table does not list
+    lines = _worker(workload, "--max-ops", "5", "--trace")
+    assert len(lines) == 2 and lines[0] == "READY", lines
+    result = json.loads(lines[1])
+    assert len(result["records"]) == 5
+    assert [record[3] for record in result["records"]] == ["ok"] * 5
+    assert result["errors"] == []
 
 
 def test_every_public_name_the_benchmark_calls_resolves():

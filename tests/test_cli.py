@@ -76,6 +76,23 @@ def test_orbital_with_trace(capsys):
     assert doc["orbit"] == [2, 2]
     assert [step["labels"] for step in doc["trace"]] == [[2]]
     assert doc["trace"][0]["shape_before"] == [3, 1]
+    # two-step annealings, so that shapes paired with the wrong step show
+    for lie_type, word, trace in [
+        ("C", "-1 -2 3 5 4", [
+            ([5], "typeD", [5, 3, 1, 1], [5, 2, 2, 1]),
+            ([3, 4, 5], "native", [5, 2, 2, 1], [4, 2, 2, 2]),
+        ]),
+        ("B", "2 1 5 4 3", [
+            ([5], "typeD", [5, 4, 2], [5, 4, 1, 1]),
+            ([2, 4, 5], "native", [5, 4, 1, 1], [5, 3, 1, 1, 1]),
+        ]),
+    ]:
+        code, out, _ = run(capsys, "orbital", "--type", lie_type, word)
+        assert code == 0
+        assert json.loads(out)["trace"] == [
+            dict(zip(("labels", "coloring", "shape_before", "shape_after"), step))
+            for step in trace
+        ]
 
 
 def test_orbital_accepts_tableau_json(capsys):
@@ -255,13 +272,16 @@ def test_verify_unknown_suite_lists_every_suite(capsys):
     assert all(repr(name) in err for name in SUITE_NAMES)
 
 
-@pytest.mark.parametrize("text", ["5", "[1, 2]", "null", "not json"])
+@pytest.mark.parametrize("text", ["5", "[1, 2]", "null", "not json", "{", "2 -1"])
 def test_move_needs_json_object(capsys, text):
-    with pytest.raises(SystemExit) as exc:
-        main(["move", text, "--label", "1"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "JSON object" in err and "Traceback" not in err
+    # move reads its input as inverse does: text that is not JSON, or JSON
+    # that is not an object, is an input failure (exit 1), not a usage error
+    code, out, err = run(capsys, "move", text, "--label", "1")
+    assert code == 1 and out == "" and "Traceback" not in err
+    parsed = text in ("5", "[1, 2]", "null")
+    message = "malformed tableau document" if parsed else "not valid JSON"
+    assert err.startswith(f"error: {message}: ")
+    assert run(capsys, "inverse", text)[0] == 1
 
 
 @pytest.mark.parametrize("command", ["orbital", "special", "cycles"])

@@ -509,8 +509,8 @@ def test_extended_move_grows_on_the_right():
 
 def test_extended_cycle_rejects_two_open_cycles_on_one_square():
     # no standard tableau of rank <= 5 has such a pair; built by hand here
-    a = Cycle((1,), NATIVE, True, (1, 2), (2, 1), True, False)
-    b = Cycle((2,), NATIVE, True, (1, 4), (2, 1), True, False)
+    a = Cycle((1,), NATIVE, (1, 2), (2, 1), False, (), None)
+    b = Cycle((2,), NATIVE, (1, 4), (2, 1), False, (), None)
     with pytest.raises(TableauError, match=r"ambiguous at square \(2, 1\)"):
         _open_by_square([a, b])
 

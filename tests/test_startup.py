@@ -14,7 +14,7 @@ from domino_tableaux.insertion import pair_serialize, rs
 # every name the package exported when its __init__ imported every module
 PUBLIC_NAMES = sorted(
     """
-    AnnealStep Coloring Cycle Domino DominoTableau OperatorDomainReport
+    Coloring Cycle Domino DominoTableau OperatorDomainReport
     OperatorUndefinedError OrbitalResult Partition PipelineStallError
     SUITE_NAMES SignedPerm TableauError TableauPair VerificationReport
     all_cycles all_sdt apply_generator candidate_moves compose count_sdt
