@@ -210,12 +210,18 @@ def _suite_involution_criterion(n, lie_type, report):
 
 
 def _suite_inverse_transpose(n, lie_type, report):
-    pairs = {w: rs(w, lie_type) for w in enumerate_group(n)}
-    for w, pair in pairs.items():
-        report["instances"] += 1
-        other = pairs[inverse(w)]
+    """Visits each {w, w^-1} once, from its smaller element, and counts and
+    reports both: rs(w^-1) must be rs(w) with its tableaux swapped."""
+    for w in enumerate_group(n):
+        v = inverse(w)
+        if v < w:
+            continue
+        pair = rs(w, lie_type)
+        other = pair if v == w else rs(v, lie_type)
+        elements = (w,) if v == w else (w, v)
+        report["instances"] += len(elements)
         if (other.left, other.right) != (pair.right, pair.left):
-            report["failures"].append(f"w={format_perm(w)}")
+            report["failures"].extend(f"w={format_perm(u)}" for u in elements)
 
 
 def _suite_cycle_involution(n, lie_type, report):
@@ -290,17 +296,17 @@ def _suite_pipeline_confluence(n, lie_type, report):
 
 
 def _suite_operator_cell_compat(n, lie_type, report):
-    pairs = {w: rs(w, lie_type) for w in enumerate_group(n)}
     annealed = {
         tab: orbital_tableau(tab).tableau for tab in _left_tableaux(n, lie_type)
     }
-    for w, pair in pairs.items():
+    for w in enumerate_group(n):
+        pair = rs(w, lie_type)
         target = annealed[pair.left]
         for i in range(2, n):
             if equal_length_domain(w, i, i + 1).defined:
                 report["instances"] += 1
                 image = wall_cross_equal_length(w, i, i + 1)
-                if annealed[pairs[image].left] != target:
+                if annealed[rs(image, lie_type).left] != target:
                     report["failures"].append(
                         f"equal-length({i},{i + 1}) moved w={format_perm(w)} "
                         "off its annealed tableau"
@@ -313,7 +319,7 @@ def _suite_operator_cell_compat(n, lie_type, report):
                 continue
             report["instances"] += 1
             out = apply(pair)
-            if pairs[rs_inverse(out)] != out:
+            if rs(rs_inverse(out), lie_type) != out:
                 report["failures"].append(
                     f"{name} output at w={format_perm(w)} is not an insertion image"
                 )

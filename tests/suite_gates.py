@@ -12,8 +12,8 @@ two suites without one carry pins here: ``{rank: (C, B)}``.
 
 Gates 7 and 9 stop at rank 4, where rank 5 fails on the known annealing
 defect (ROADMAP).  The rank-6 rows cost about 7-10 s per type for
-``rs-bijection`` and ``inverse-transpose``, 5 s for
-``involution-criterion``, and ``cycle-involution`` about 8 s per type at
+``rs-bijection``, 5 s for ``involution-criterion`` and 3.3 s for
+``inverse-transpose``, and ``cycle-involution`` about 8 s per type at
 rank 7 (2-vCPU VM).  ``rs-bijection`` at rank 6 checks that the left
 tableaux are every standard tableau of the rank, the premise of the
 ``cycle-involution`` and ``surjectivity`` rows.

@@ -27,7 +27,7 @@ from domino_tableaux.cycles import (
 )
 from domino_tableaux.enumeration import all_sdt
 from domino_tableaux.insertion import rs
-from domino_tableaux.partitions import partitions_of
+from domino_tableaux.partitions import dominates, partitions_of
 from domino_tableaux.pipeline import orbital_tableau, special_projection
 from domino_tableaux.signed_perm import enumerate_group
 from domino_tableaux.tableau import (
@@ -239,7 +239,10 @@ def test_move_involution_and_shape_arithmetic(t, n):
                 if cy.open:
                     assert tab.cells() - moved.cells() == {cy.hole}
                     assert moved.cells() - tab.cells() == {cy.corner}
-                    assert cy.down == (cy.corner[0] > cy.hole[0])
+                    # a down move lowers the shape in dominance, an up move raises it
+                    high, low = (tab, moved) if cy.down else (moved, tab)
+                    assert high.shape() != low.shape()
+                    assert dominates(high.shape(), low.shape())
                 else:
                     assert moved.shape() == tab.shape()
                 back = cycle_of(moved, cy.labels[0], col)

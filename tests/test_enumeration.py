@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -18,7 +19,9 @@ from domino_tableaux.enumeration import (
     count_sdt,
     verify_suite,
 )
+from domino_tableaux.insertion import TableauPair
 from domino_tableaux.partitions import is_orbit_partition, partitions_of
+from domino_tableaux.signed_perm import format_perm, inverse
 from domino_tableaux.tableau import make_tableau
 
 
@@ -218,6 +221,41 @@ def test_unknown_suite_rejected():
         verify_suite("no-such-suite", 2, "C")
     with pytest.raises(ValueError, match="^n must be at least 1$"):
         verify_suite("rs-bijection", 0, "C")
+
+
+@pytest.mark.parametrize("t", ["C", "B"])
+@pytest.mark.parametrize("suite", ["inverse-transpose", "operator-cell-compat"])
+def test_group_suites_keep_no_group_table(suite, t):
+    # A table of every insertion pair of the group peaks above 1 MB at rank
+    # 4 (about 200 MB at rank 6).  Each suite holds one element's pair at a
+    # time; operator-cell-compat's per-tableau maps peak near 0.3 MB here.
+    tracemalloc.start()
+    try:
+        report = verify_suite(suite, 4, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 0.5 * 2**20
+
+
+@pytest.mark.parametrize("t", ["C", "B"])
+def test_inverse_transpose_reports_both_elements(monkeypatch, t):
+    # rs swaps the pair of w0 alone, so the check of {w0, w0^-1} fails
+    # whichever of the two the suite visits, and reports both.
+    w0 = (2, 3, -1)
+    insert = enumeration.rs
+
+    def swapped_at_w0(w, lie_type):
+        pair = insert(w, lie_type)
+        return TableauPair(pair.right, pair.left) if w == w0 else pair
+
+    monkeypatch.setattr(enumeration, "rs", swapped_at_w0)
+    report = verify_suite("inverse-transpose", 3, t)
+    assert report.instances == 48
+    assert sorted(report.failures) == sorted(
+        ["w=2 3 -1", f"w={format_perm(inverse(w0))}"]
+    )
 
 
 def test_verify_suite_keeps_no_tableaux():
