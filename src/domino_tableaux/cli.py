@@ -23,6 +23,9 @@ from .partitions import count_sdt, format_partition, parse_partition
 
 OPERATOR_NAMES = ("equal-length", "unequal-length", "type-d")
 COUNT_MAX_CELLS = 10_000  # an input bound: count_sdt makes one pass over the cells
+# An input bound: the group suites walk all 2^n n! elements, 16 times as many
+# at rank 8 as at rank 7, the top rank of the release gates.
+VERIFY_MAX_RANK = 7
 
 
 class UsageError(Exception):
@@ -231,13 +234,15 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _positive_int(text: str) -> int:
+def _rank(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    if value > VERIFY_MAX_RANK:
+        raise argparse.ArgumentTypeError(f"rank {value}; verify takes at most {VERIFY_MAX_RANK}")
     return value
 
 
@@ -324,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
     common(p)
     p.add_argument("suite", type=_suite_name, help="suite name; an unknown name lists them")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=_rank, required=True)
     p.set_defaults(func=_cmd_verify)
 
     return parser

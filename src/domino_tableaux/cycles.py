@@ -67,9 +67,41 @@ class Coloring(enum.Enum):
 
 
 def _block_id(cell: Cell, coloring: Coloring) -> tuple[int, int]:
-    # 2x2 blocks pairing rows {1,2}, {3,4}, ...; the column pairing is
-    # phased so every block's top-left corner is a variable square of the
-    # coloring, which makes boxedness constant along each cycle.
+    """The cell's 2x2 block: rows paired {1,2}, {3,4}, ..., and columns
+    phased so that every block's top-left and bottom-right cells are
+    variable squares of the coloring, and its top-right and bottom-left
+    cells fixed.  A domino is boxed when both its cells lie in one block.
+    Boxedness is constant along each cycle, by two lemmas on the move rule
+    of ``_moved_position``.
+
+    Lemma 1 (flip).  D'(k) is boxed exactly when D(k) is not.  The
+    neighbours of k's fixed cell f inside its block lie in the directions
+    {left, down} when f is top-right and {up, right} when f is bottom-left.
+    The two candidates for D'(k) lie from f in the directions -delta and
+    swap(delta), where delta points from f to D(k)'s variable cell, and
+    negation and swap each map that pair of directions onto the other two.
+    So both candidates lie outside f's block when delta points inside it,
+    and both lie inside it when delta points outside.
+
+    Lemma 2 (constancy).  If D'(k) meets D(l), for l != k, then D(l) is
+    boxed exactly when D(k) is.  D'(k) keeps f_k, so it meets D(l) at l's
+    variable cell v, next to f_k.  Then f_k and f_l lie on opposite sides
+    of v, one above or left of it and the other below or right.  Up to
+    transpose delta points right or left, and D'(k) is the shift or the
+    rotation, four cases; in each, the one neighbour of v on f_k's side
+    other than f_k is the decision cell d, and d = f_l is impossible.  For
+    delta right and a shift, v is left of f_k and T(d) > k with d below v;
+    a vertical D(l) = {v, d} would put l > k left of k in one row, against
+    standardness.  Delta right and a rotation puts v below f_k, with
+    T(d) < k and d left of v; delta left and a shift puts v right of f_k,
+    with T(d) < k and d above v; delta left and a rotation puts v above
+    f_k, with T(d) > k and d right of v: each D(l) = {v, d} breaks
+    standardness against f_k the same way.  The neighbours of v inside its
+    block all lie on one side of it, so exactly one of D'(k) = {f_k, v} and
+    D(l) = {f_l, v} is boxed, and by Lemma 1 D(l) is boxed exactly when
+    D(k) is.  A cycle is a connected component of this relation, or a
+    single frozen label.
+    """
     r, c = cell
     if coloring is Coloring.NATIVE:
         return ((r + 1) // 2, (c + 1) // 2)

@@ -2,8 +2,9 @@
 projection.
 
 The main map takes the insertion tableau of a signed permutation and moves
-through admissible open cycles — either coloring, hole and corner in rows of
-odd length for type C or even length for type B, shape strictly lowered in
+through admissible open cycles — either coloring, hole in a row of odd
+length for type C or even length for type B (the corner's row then has the
+same parity, as ``candidate_moves`` proves), shape strictly lowered in
 dominance order — until the shape is an orbit partition.  The resulting
 partition labels the nilpotent orbit attached to the element; the tableau
 parametrizes its orbital variety.  Among the admissible moves it takes the
@@ -20,12 +21,12 @@ so a step's shape before is its source's shape, and its shape after is the
 next cycle's source shape, or the result's shape for the last step.
 
 The special-shape projection is one simultaneous move through every open
-native-coloring cycle that is unboxed (type C) or boxed (type B); these are
-the open native cycles whose hole and corner lie in rows of the annealing
-parity.  The tests keep the walk through open native cycles, in either
-direction, as its oracle: on every standard tableau of rank <= 6 in both
-types, and on seeded random words of ranks 8-64, the walk reaches exactly one
-special tableau, and it is this move's image.
+native-coloring cycle whose hole lies in a row of the annealing parity, the
+rule annealing reads (``_anneals``); these are the unboxed cycles in type C
+and the boxed ones in type B.  The tests keep the walk through open native
+cycles, in either direction, as its oracle: on every standard tableau of
+rank <= 6 in both types, and on seeded random words of ranks 8-64, the walk
+reaches exactly one special tableau, and it is this move's image.
 
 Annealing and the projection read the open cycles alone
 (``cycles.open_cycles``), which skips the standardness test and the build
@@ -59,29 +60,60 @@ class OrbitalResult(Value):
         return self.tableau.shape()
 
 
+def _anneals(cycle: Cycle) -> bool:
+    """Whether an open cycle's hole lies in a row of the annealing parity of
+    its source's shape: odd length for type C, even for type B.  Annealing
+    and the special projection pick their cycles by this one rule."""
+    source = cycle.source
+    parity = 1 if source.lie_type == "C" else 0
+    return source.shape()[cycle.hole[0] - 1] % 2 == parity
+
+
 def candidate_moves(tableau: DominoTableau) -> list[tuple[Cycle, Partition]]:
-    """Admissible lowering moves: open down cycle, row-parity test on hole
-    and corner against the pre-move shape.
+    """Admissible lowering moves: open down cycles of either coloring whose
+    hole row has the annealing parity (``_anneals``).
 
     The target shape is read off the cycle: the hole's row loses a cell and
     the corner's row, further down, gains one, so the shape strictly drops
     in dominance.
+
+    The definition also asks the corner's row for the parity.  Every open
+    cycle, up or down and of either coloring, has it, so no test reads it.
+    Let T be the tableau, T' its image and lam its shape (lam_r = 0 past the
+    last row); the hole is h = (r_h, lam_{r_h}) and the corner is
+    c = (r_c, lam_{r_c} + 1).
+
+    Lemma 3 (rows).  h lies in T and not in T', and every domino keeps its
+    fixed cell, so h is the variable cell of some D(k) and T' holds its
+    partner, k's fixed cell.  T' is a Young diagram, so that partner lies
+    above or left of h.  Likewise c is the variable cell of some D'(l), and
+    its partner lies in T, above or left of c.  In a block of
+    ``cycles._block_id`` the variable cells are the top-left one, in an odd
+    row, whose upper and left neighbours lie outside the block, and the
+    bottom-right one, in an even row, whose upper and left neighbours lie
+    inside it.  So r_h is even exactly when D(k) is boxed, and r_c is even
+    exactly when D'(l) is boxed.  By Lemmas 1 and 2 there, r_h is odd
+    exactly when the cycle is unboxed, r_c is odd exactly when it is boxed,
+    and r_c - r_h is odd.
+
+    Lemma 4 (parity).  h and c are both variable cells, so they have one
+    chessboard colour: r_h + lam_{r_h} = r_c + lam_{r_c} + 1 (mod 2).  As
+    r_c - r_h is odd, lam_{r_h} = lam_{r_c} (mod 2): a corner test would
+    repeat the hole test.  On the native coloring a variable cell has even
+    row + column, so lam_{r_h} = r_h (mod 2), and the hole's row has odd
+    length exactly when the cycle is unboxed.  ``special_projection``
+    therefore moves through the unboxed open native cycles in type C and
+    the boxed ones in type B.
     """
     rows = tableau.shape() + (0,)  # a corner lies at most one row below the shape
-    parity = 1 if tableau.lie_type == "C" else 0  # odd-length rows for C, even for B
     out = []
     for coloring in (Coloring.NATIVE, Coloring.TYPE_D):
         for cy in open_cycles(tableau, coloring):
-            if not cy.down:
-                continue
-            if rows[cy.hole[0] - 1] % 2 != parity:
-                continue
-            if rows[cy.corner[0] - 1] % 2 != parity:
-                continue
-            new_rows = list(rows)
-            new_rows[cy.hole[0] - 1] -= 1
-            new_rows[cy.corner[0] - 1] += 1
-            out.append((cy, tuple(part for part in new_rows if part)))
+            if cy.down and _anneals(cy):
+                new_rows = list(rows)
+                new_rows[cy.hole[0] - 1] -= 1
+                new_rows[cy.corner[0] - 1] += 1
+                out.append((cy, tuple(part for part in new_rows if part)))
     return out
 
 
@@ -136,18 +168,17 @@ def orbit_of(w: SignedPerm, lie_type: str) -> Partition:
 
 def special_projection(tableau: DominoTableau) -> DominoTableau:
     """The special-shape tableau reachable through open native cycles: one
-    simultaneous move through every open native cycle that is unboxed
-    (type C) or boxed (type B).
+    simultaneous move through every open native cycle whose hole row has
+    the annealing parity (``_anneals``), which are the unboxed cycles in
+    type C and the boxed ones in type B (``candidate_moves`` proves it).
 
     A tableau of special shape has no such cycle and comes back as the same
     object.  The tests' walk oracle reaches this image and no other special
     tableau on every standard tableau of rank <= 6.  A non-special image
     raises RuntimeError.
     """
-    boxed = tableau.lie_type == "B"
-    projected = move_through_set(
-        tableau, [cy for cy in open_cycles(tableau, Coloring.NATIVE) if cy.boxed == boxed]
-    )
+    cycles = [cy for cy in open_cycles(tableau, Coloring.NATIVE) if _anneals(cy)]
+    projected = move_through_set(tableau, cycles)
     if not is_special(projected.shape(), projected.lie_type):
         raise RuntimeError(f"special projection reached non-special shape {projected.shape()}")
     return projected

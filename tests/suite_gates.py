@@ -3,8 +3,10 @@
 Tier-1 (``test_acceptance._suite_gate``) runs each suite through
 ``verify_suite`` in both types at every rank up to its top rank.  CI runs it
 again at the ranks it adds, through the installed ``dtab``; its verify step
-reads those rows from ``python tests/suite_gates.py``.  ``test_readme``
-checks README's gate table against this one.
+reads those rows from ``python tests/suite_gates.py``.  Every rank here must
+be one that ``dtab verify`` accepts, at most ``cli.VERIFY_MAX_RANK``, which
+``test_acceptance`` checks.  ``test_readme`` checks README's gate table
+against this one.
 
 A report checks its own instance count wherever a closed form exists (the
 group order, the number of standard tableaux of the rank, or 1), so only the

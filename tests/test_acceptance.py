@@ -7,6 +7,7 @@ failure, where they pinpoint the gate that broke.
 import random
 import time
 
+from domino_tableaux.cli import VERIFY_MAX_RANK, build_parser
 from domino_tableaux.cycles import move_through
 from domino_tableaux.enumeration import verify_suite
 from domino_tableaux.insertion import TableauPair, rs
@@ -53,6 +54,16 @@ def _suite_gate(number):
 def test_every_pin_is_at_a_rank_that_runs():
     for name, top, ci_ranks, pins in GATES.values():
         assert set(pins) <= set(range(1, top + 1)) | set(ci_ranks), name
+
+
+def test_dtab_verify_accepts_every_gate_rank():
+    # CI sends each of its rows to `dtab verify --n`, which refuses ranks
+    # above VERIFY_MAX_RANK
+    parser = build_parser()
+    for name, top, ci_ranks, _ in GATES.values():
+        for n in (*range(1, top + 1), *ci_ranks):
+            args = parser.parse_args(["verify", "--type", "C", name, "--n", str(n)])
+            assert args.n == n <= VERIFY_MAX_RANK, name
 
 
 def test_criterion_01_rs_bijection():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domino_tableaux.cli import COUNT_MAX_CELLS, OPERATOR_NAMES, main
+from domino_tableaux.cli import COUNT_MAX_CELLS, OPERATOR_NAMES, VERIFY_MAX_RANK, main
 from domino_tableaux.cycles import Coloring, move_through_extended
 from domino_tableaux.enumeration import SUITE_NAMES, count_sdt
 from domino_tableaux.insertion import pair_serialize, pair_to_json_dict, rs
@@ -301,6 +301,18 @@ def test_verify_n_must_be_positive(capsys, n):
         main(["verify", "--type", "C", "--n", n, "rs-bijection"])
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [VERIFY_MAX_RANK + 1, 10**6])
+def test_verify_refuses_ranks_above_the_bound(capsys, n):
+    # rank 8 would walk 10 million group elements
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--type", "C", "--n", str(n), "rs-bijection"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and time.perf_counter() - start < 1
+    assert f"argument --n: rank {n}; verify takes at most {VERIFY_MAX_RANK}" in err
+    assert "Traceback" not in err
 
 
 def test_bad_word_exits_one(capsys):

@@ -252,13 +252,18 @@ def test_move_involution_and_shape_arithmetic(t, n):
 
 @pytest.mark.parametrize("t", ["C", "B"])
 def test_boxedness_constant_on_cycles(t):
-    for n in (1, 2, 3):
+    # Lemmas 1 and 2 of cycles._block_id on every standard tableau of
+    # rank <= 6: D'(k) is boxed exactly when D(k) is not, and every domino
+    # of a cycle is boxed exactly when the cycle is.
+    for n in range(1, 7):
         for tab in _sdt_of_rank(n, t):
             for col in Coloring:
+                for d in tab.dominoes:
+                    moved = _moved_position(d, tab._owner, col.fixed_parity)
+                    assert is_boxed(moved, col) != is_boxed(d.cells, col), serialize(tab)
                 for cy in all_cycles(tab, col):
                     flags = {is_boxed(tab.domino(k).cells, col) for k in cy.labels}
-                    assert len(flags) == 1
-                    assert cy.boxed in flags
+                    assert flags == {cy.boxed}, serialize(tab)
 
 
 @pytest.mark.parametrize("t", ["C", "B"])

@@ -207,26 +207,28 @@ def test_candidate_moves_are_the_admissible_moves(t):
             assert [target for _, target in moves] == [m.shape() for _, m in oracle]
 
 
-def test_corner_test_of_candidate_moves_never_decides():
-    # Every down open cycle has hole and corner rows of equal length parity,
-    # so the corner test of candidate_moves never rejects a cycle that the
-    # hole test admits.  A move keeps the 2-core, so hole and corner share a
-    # chessboard colour, and equal parity is the same as the corner lying an
-    # odd number of rows below the hole; why it does is unproved, so
-    # candidate_moves keeps the test.  Every standard tableau of rank <= 6,
-    # and both tableaux of 20 seeded words per rank at ranks 8-64.
+def test_hole_and_corner_rows_follow_boxedness():
+    # Lemmas 3 and 4 of candidate_moves, on every open cycle, up or down,
+    # of either coloring: the hole lies in an odd row exactly when the cycle
+    # is unboxed, the corner lies an odd number of rows from the hole, and
+    # the two rows have lengths of equal parity, so the hole test alone
+    # decides an admissible move.  On the native coloring the hole's row has
+    # odd length exactly when the cycle is unboxed, the boxedness form of
+    # the special projection.  Every standard tableau of rank <= 6, and both
+    # tableaux of 20 seeded words per rank at ranks 8-64.
     checked = {"exhaustive": 0, "seeded": 0}
 
     def check(tab, kind):
         rows = tab.shape() + (0,)
         for coloring in Coloring:
             for cy in open_cycles(tab, coloring):
-                if not cy.down:
-                    continue
                 checked[kind] += 1
                 hole, corner = cy.hole[0], cy.corner[0]
-                assert rows[hole - 1] % 2 == rows[corner - 1] % 2, serialize(tab)
+                assert hole % 2 != cy.boxed, serialize(tab)
                 assert (corner - hole) % 2 == 1, serialize(tab)
+                assert rows[hole - 1] % 2 == rows[corner - 1] % 2, serialize(tab)
+                if coloring is Coloring.NATIVE:
+                    assert rows[hole - 1] % 2 != cy.boxed, serialize(tab)
 
     rng = random.Random(112358)
     for t in ("C", "B"):
@@ -238,7 +240,7 @@ def test_corner_test_of_candidate_moves_never_decides():
                 pair = rs(random_signed_perm(rng, n), t)
                 check(pair.left, "seeded")
                 check(pair.right, "seeded")
-    assert checked == {"exhaustive": 3537, "seeded": 775}
+    assert checked == {"exhaustive": 7074, "seeded": 1586}
 
 
 def signed_perms(max_rank):
@@ -325,27 +327,16 @@ def test_special_projection_walks_open_cycles_back_and_forth():
 @pytest.mark.parametrize("t", ["C", "B"])
 def test_special_projection_matches_the_walk_on_random_words(t):
     # Left and right tableaux of seeded random words at ranks 8-64: the walk
-    # reaches exactly one special tableau, which is the projection, and the
-    # cycles the projection moves through (open native, unboxed in C and
-    # boxed in B) are the open native cycles whose hole and corner lie in
-    # rows of the annealing parity.
+    # reaches exactly one special tableau, which is the projection.  That
+    # its cycles are the unboxed ones in C and the boxed ones in B is
+    # test_hole_and_corner_rows_follow_boxedness.
     rng = random.Random(112358)
-    parity = 1 if t == "C" else 0
     for n in (8, 16, 32, 64):
         for _ in range(3):
             perm = rng.sample(range(1, n + 1), n)
             pair = rs(tuple(v if rng.random() < 0.5 else -v for v in perm), t)
             for tab in (pair.left, pair.right):
                 assert special_reachable(tab) == {special_projection(tab)}
-                rows = tab.shape() + (0,)
-                open_cycles = [cy for cy in all_cycles(tab, Coloring.NATIVE) if cy.open]
-                selected = [cy for cy in open_cycles if cy.boxed == (t == "B")]
-                in_parity = [
-                    cy
-                    for cy in open_cycles
-                    if rows[cy.hole[0] - 1] % 2 == parity == rows[cy.corner[0] - 1] % 2
-                ]
-                assert selected == in_parity
 
 
 @pytest.mark.parametrize("t", ["C", "B"])
