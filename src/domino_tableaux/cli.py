@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .partitions import count_sdt, format_partition, parse_partition
+from .partitions import GROUP_TYPES, count_sdt, format_partition, parse_partition
 
 OPERATOR_NAMES = ("equal-length", "unequal-length", "type-d")
 COUNT_MAX_CELLS = 10_000  # an input bound: count_sdt makes one pass over the cells
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(parser=p)
         p.add_argument("--format", choices=("json", "ascii"), default="json")
         if with_type:
-            p.add_argument("--type", choices=("B", "C"), required=True)
+            p.add_argument("--type", choices=GROUP_TYPES, required=True)
 
     p = sub.add_parser("rs", help="two-tableau insertion of a signed permutation")
     common(p)

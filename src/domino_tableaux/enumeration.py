@@ -32,6 +32,7 @@ from .operators import (
     wall_cross_unequal_length,
 )
 from .partitions import (
+    _TYPES,
     Partition,
     _check_shape,
     _core_shape,
@@ -55,21 +56,25 @@ from .tableau import DominoTableau, Value, _set, make_tableau, serialize
 # standard domino tableaux by backtracking over shape chains
 
 
-def _removals(shape: Partition, lie_type: str):
-    """Ways to delete the top-labeled domino: (new_shape, cells)."""
+def _removals(shape: Partition):
+    """Ways to delete the top-labeled domino: (new_shape, cells).
+
+    A removal takes the cell (1,1) only from the shape (2) or (1,1), both of
+    even size, so it never takes the type-B core: every shape on a type-B
+    chain has odd size (``_check_shape``).
+    """
     rows = len(shape)
     for r in range(1, rows + 1):
         length = shape[r - 1]
         below = shape[r] if r < rows else 0
         # last two cells of row r
         if length >= 2 and length - 2 >= below:
-            if not (lie_type == "B" and r == 1 and length - 2 < 1):
-                new = shape[: r - 1] + (length - 2,) + shape[r:]
-                yield as_partition(new), ((r, length - 1), (r, length))
+            new = shape[: r - 1] + (length - 2,) + shape[r:]
+            yield as_partition(new), ((r, length - 1), (r, length))
         # bottom two cells of a column: rows r, r+1 of equal length
         if r < rows and shape[r] == length:
             lower = shape[r + 1] if r + 1 < rows else 0
-            if length - 1 >= lower and not (lie_type == "B" and r == 1 and length == 1):
+            if length - 1 >= lower:
                 new = shape[: r - 1] + (length - 1, length - 1) + shape[r + 1 :]
                 yield as_partition(new), ((r, length), (r + 1, length))
 
@@ -78,16 +83,17 @@ def all_sdt(shape, lie_type: str) -> list[DominoTableau]:
     """Every standard domino tableau of the given shape, built by removing
     the highest-labeled domino and recursing."""
     shape = _check_shape(shape, lie_type)
+    core = _core_shape(lie_type)
 
     def build(current: Partition, label: int):
-        if current == _core_shape(lie_type):
+        if current == core:
             yield []
             return
-        for new, cells in _removals(current, lie_type):
+        for new, cells in _removals(current):
             for rest in build(new, label - 1):
                 yield rest + [(label, cells)]
 
-    total = (sum(shape) - len(_core_shape(lie_type))) // 2
+    total = (sum(shape) - len(core)) // 2
     return [make_tableau(lie_type, layout) for layout in build(shape, total)]
 
 
@@ -128,7 +134,7 @@ class VerificationReport(Value):
 
 
 def _group_shapes(n: int, lie_type: str):
-    return partitions_of(2 * n + (1 if lie_type == "B" else 0))
+    return partitions_of(2 * n + _TYPES[lie_type].core_size)
 
 
 def _group_order(n, lie_type):
@@ -228,12 +234,7 @@ def _suite_cycle_involution(n, lie_type, report):
     for tab in _left_tableaux(n, lie_type):
         for coloring in Coloring:
             cycles = all_cycles(tab, coloring)
-            seen: set[int] = set()
-            for cy in cycles:
-                seen.update(cy.labels)
-            if seen != set(tab.labels()) or sum(len(c.labels) for c in cycles) != len(
-                seen
-            ):
+            if sorted(label for cy in cycles for label in cy.labels) != list(tab.labels()):
                 report["failures"].append(
                     f"{serialize(tab)} {coloring.value}: labels not partitioned"
                 )

@@ -2,23 +2,45 @@
 and the number of standard domino tableaux of a shape.
 
 A partition is stored as a tuple of weakly decreasing positive integers;
-trailing zeros are never kept.  The two group types "B" and "C" select which
-parity class of parts is constrained when a partition labels a nilpotent
-orbit of the corresponding classical Lie algebra.  ``count_sdt`` is a
-hook-length formula on the shape alone, so it lives here rather than with
-the generators of ``enumeration``, and ``dtab count`` loads no tableau code.
+trailing zeros are never kept.  ``count_sdt`` is a hook-length formula on the
+shape alone, so it lives here rather than with the generators of
+``enumeration``, and ``dtab count`` loads no tableau code.
+
+Outside the operators' case tables (``operators``), two facts tell the group
+types "B" and "C" apart, and ``_TYPES`` holds them, one row per type:
+
+- ``core_size``, the size of the 2-core a domino tableau grows from: the
+  cell (1,1) for B and nothing for C (Garfinkle, Compositio Math. 1990).
+  Every shape of the type has a size of this parity.
+- ``paired_parity``, the parity of the part values that must come with even
+  multiplicity when a partition labels a nilpotent orbit: even parts for B,
+  odd parts for C (Collingwood and McGovern, Nilpotent Orbits in Semisimple
+  Lie Algebras, 1993, 5.1).  Annealing moves a hole out of a row of this
+  length parity.
+
+Every other module reads the table rather than testing the type's letter.
+The columns stay separate: type D, which is not implemented, has C's empty
+core but B's constrained parity.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
 
-TYPE_B = "B"
-TYPE_C = "C"
-GROUP_TYPES = (TYPE_B, TYPE_C)
+
+class _TypeRow(NamedTuple):
+    core_size: int
+    paired_parity: int
+
+
+_TYPES = {
+    "B": _TypeRow(core_size=1, paired_parity=0),
+    "C": _TypeRow(core_size=0, paired_parity=1),
+}
+GROUP_TYPES = tuple(_TYPES)
 
 
 def check_group_type(group_type: str) -> str:
@@ -118,22 +140,16 @@ def partitions_of(n: int) -> Iterator[Partition]:
         parts += [m] * (q + 1) + ([r] if r else [])
 
 
-def _bad_parity(group_type: str) -> int:
-    # Which residue of a part value must come with even multiplicity:
-    # type C constrains odd parts, type B constrains even parts.
-    return 1 if group_type == TYPE_C else 0
-
-
 def is_orbit_partition(lam: Partition, group_type: str) -> bool:
-    """Whether lam labels a nilpotent orbit for the given group type; a
-    type-B orbit partition also has odd size (a C one has even size by the
-    parity rule)."""
+    """Whether lam labels a nilpotent orbit for the given group type: its
+    size has the core's parity (for C the pairing rule implies it), and the
+    parts of the paired parity come with even multiplicity."""
     check_group_type(group_type)
     lam = as_partition(lam)
-    if group_type == TYPE_B and sum(lam) % 2 == 0:
+    row = _TYPES[group_type]
+    if sum(lam) % 2 != row.core_size:
         return False
-    bad = _bad_parity(group_type)
-    return all(lam.count(v) % 2 == 0 for v in set(lam) if v % 2 == bad)
+    return all(lam.count(v) % 2 == 0 for v in set(lam) if v % 2 == row.paired_parity)
 
 
 def orbit_collapse(lam: Partition, group_type: str) -> Partition:
@@ -144,14 +160,15 @@ def orbit_collapse(lam: Partition, group_type: str) -> Partition:
     """
     check_group_type(group_type)
     lam = as_partition(lam)
-    if group_type == TYPE_C and sum(lam) % 2 == 1:
-        raise ValueError("no C-type orbit partition has odd size")
-    if group_type == TYPE_B and sum(lam) % 2 == 0:
-        raise ValueError("no B-type orbit partition has even size")
-    bad = _bad_parity(group_type)
+    row = _TYPES[group_type]
+    if sum(lam) % 2 != row.core_size:
+        size = "odd" if sum(lam) % 2 else "even"
+        raise ValueError(f"no {group_type}-type orbit partition has {size} size")
     parts = list(lam)
     for _ in range(sum(lam) ** 2 + 1):
-        offenders = [v for v in set(parts) if v % 2 == bad and parts.count(v) % 2 == 1]
+        offenders = [
+            v for v in set(parts) if v % 2 == row.paired_parity and parts.count(v) % 2 == 1
+        ]
         if not offenders:
             return as_partition(parts)
         v = max(offenders)
@@ -183,13 +200,14 @@ def is_special(lam: Partition, group_type: str) -> bool:
 
 
 def _core_shape(lie_type: str) -> Partition:
-    return (1,) if lie_type == "B" else ()
+    # the one 2-core of each size the table holds, 0 or 1
+    return (1,) * _TYPES[lie_type].core_size
 
 
 def _check_shape(shape, lie_type: str) -> Partition:
     check_group_type(lie_type)
     shape = as_partition(shape)
-    if sum(shape) % 2 != (1 if lie_type == "B" else 0):
+    if sum(shape) % 2 != _TYPES[lie_type].core_size:
         raise ValueError(f"size {sum(shape)} has the wrong parity for type {lie_type}")
     return shape
 
@@ -204,8 +222,8 @@ def count_sdt(shape, lie_type: str) -> int:
     The hooks of the 2-quotient are the even hooks of lam halved, and there
     are exactly w of them, so the count is w! over the product of the halved
     even hooks, and the 2-core has |lam| - 2w cells.  The count is 0 when
-    that is not the core the type starts from: () for C and (1) for B.  The
-    2-cores are staircases, so their sizes tell them apart.
+    that is not the core the type starts from (``core_size``).  The 2-cores
+    are staircases, so their sizes tell them apart.
     """
     shape = _check_shape(shape, lie_type)
     columns = transpose(shape)
@@ -217,6 +235,6 @@ def count_sdt(shape, lie_type: str) -> int:
             if hook % 2 == 0:
                 dominoes += 1
                 halved_hooks *= hook // 2
-    if sum(shape) - 2 * dominoes != sum(_core_shape(lie_type)):
+    if sum(shape) - 2 * dominoes != _TYPES[lie_type].core_size:
         return 0
     return math.factorial(dominoes) // halved_hooks

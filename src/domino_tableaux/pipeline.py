@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from .cycles import Coloring, Cycle, move_through, move_through_set, open_cycles
 from .insertion import rs
-from .partitions import Partition, is_orbit_partition, is_special, n_statistic
+from .partitions import _TYPES, Partition, is_orbit_partition, is_special, n_statistic
 from .signed_perm import SignedPerm
 from .tableau import DominoTableau, Value, _set
 
@@ -62,11 +62,11 @@ class OrbitalResult(Value):
 
 def _anneals(cycle: Cycle) -> bool:
     """Whether an open cycle's hole lies in a row of the annealing parity of
-    its source's shape: odd length for type C, even for type B.  Annealing
-    and the special projection pick their cycles by this one rule."""
+    its source's shape, the type's ``paired_parity``: odd length for type C,
+    even for type B.  Annealing and the special projection pick their cycles
+    by this one rule."""
     source = cycle.source
-    parity = 1 if source.lie_type == "C" else 0
-    return source.shape()[cycle.hole[0] - 1] % 2 == parity
+    return source.shape()[cycle.hole[0] - 1] % 2 == _TYPES[source.lie_type].paired_parity
 
 
 def candidate_moves(tableau: DominoTableau) -> list[tuple[Cycle, Partition]]:

@@ -51,7 +51,7 @@ from bisect import bisect_left
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
-from .partitions import Partition, check_group_type
+from .partitions import _TYPES, Partition, check_group_type
 
 Cell = tuple[int, int]
 
@@ -111,7 +111,7 @@ def core_cells(lie_type: str) -> tuple[Cell, ...]:
         check_group_type(lie_type)
     except ValueError as exc:
         raise TableauError(str(exc)) from None
-    return ((1, 1),) if lie_type == "B" else ()
+    return ((1, 1),) * _TYPES[lie_type].core_size
 
 
 def _malformed_cells(label: int, cells) -> TableauError:

@@ -1,9 +1,12 @@
 import itertools
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import domino_tableaux
 from domino_tableaux.partitions import (
     as_partition,
     dominates,
@@ -213,3 +216,21 @@ def test_special_iff_fixed_by_double_dual():
                     continue
                 fixed = orbit_dual(orbit_dual(lam, group_type), group_type) == lam
                 assert is_special(lam, group_type) == fixed, (lam, group_type)
+
+
+# A branch on the type's letter, or a constant naming it.
+TYPE_LETTER_TEST = re.compile(r'(lie_type|group_type) *[!=]= *("[BC]"|TYPE_)|TYPE_[BC]')
+
+
+def test_only_the_operators_test_the_type_letter():
+    # The 2-core and the paired parity are read off the one row per type in
+    # partitions._TYPES; the operators' per-type case tables are the only
+    # code that branches on the letter.  Tests keep their own statements of
+    # the two facts as oracles.
+    package = Path(domino_tableaux.__file__).parent
+    matching = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if TYPE_LETTER_TEST.search(path.read_text("utf-8"))
+    )
+    assert matching == ["operators.py"]

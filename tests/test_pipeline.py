@@ -13,6 +13,7 @@ from domino_tableaux.partitions import (
     is_orbit_partition,
     is_special,
     n_statistic,
+    orbit_dual,
 )
 from domino_tableaux.pipeline import (
     _preferred,
@@ -351,3 +352,21 @@ def test_special_shapes_of_the_pair_agree(t):
             pair = rs(w, t)
             left, right = special_projection(pair.left), special_projection(pair.right)
             assert left.shape() == right.shape(), w
+
+
+@pytest.mark.parametrize("t", ["C", "B"])
+def test_special_shape_of_minus_w_is_the_dual(t):
+    # Duality (Barbasch and Vogan, Ann. of Math. 1985): -w = w w0, as w0 = -1
+    # is central, and its two-sided cell carries the dual special orbit, so
+    # S(-w) = orbit_dual(S(w)) for S(w) the special projection's shape of
+    # rs(w).left.  Every element of rank <= 5, and 20 seeded words per rank
+    # at ranks 16-128.
+    def special_shape(w):
+        return special_projection(rs(w, t).left).shape()
+
+    words = [w for n in range(1, 6) for w in enumerate_group(n)]
+    rng = random.Random(112358)
+    words += [random_signed_perm(rng, n) for n in (16, 32, 64, 128) for _ in range(20)]
+    for w in words:
+        assert special_shape(tuple(-v for v in w)) == orbit_dual(special_shape(w), t), w
+    assert len(words) == 4282 + 80
