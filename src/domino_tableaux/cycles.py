@@ -17,19 +17,25 @@ components of the relation "D'(k) meets D(l)"; a component whose
 simultaneous move is not standard is frozen into single-label identity
 cycles.  Each cycle carries its move and its source tableau.
 
-``all_cycles`` builds every cycle in time linear in the number of dominoes:
-one union-find pass, then one standardness test per component, made on a
-single scratch copy of the owner map with the local rule of
-``tableau.misplaced_cell`` and undone.  ``cycle_of`` walks only its label's
-component, so it costs time linear in the size of that component (each
-domino found by bisection), plus one copy of the owner map; it hands the
-component to the same test and the same build, so it answers exactly as
-``all_cycles`` does.  ``open_cycles`` shares the union-find pass and keeps
-only the open cycles, for annealing, the special projection and extended
-moves: a component whose move leaves its cell set unchanged is closed
-whether or not that move is standard, so it gets no standardness test and
-no ``Cycle``.  A move (``move_through``, through
-``tableau.replace_cells``) checks only the cells it changes.  The
+One builder, ``_cycle``, turns a component into its cycle: it makes the
+standardness test on a scratch copy of the owner map, with the local rule
+of ``tableau.misplaced_cell``, undoes it, reads the hole and the corner off
+the cells before and after the move, and answers None for a frozen
+component, whose labels ``_frozen`` makes into single-label cycles.  Two
+engines find the components, and both stay.  ``all_cycles`` builds every
+cycle in time linear in the number of dominoes, from one union-find pass
+(``_components``).  ``cycle_of`` walks only its label's component, in time
+linear in the size of that component (each domino found by bisection) plus
+one copy of the owner map, and builds only its label's cycle.  One engine
+for both was measured slower: ``cycle_of`` on the union-find pass pays for
+the whole tableau (5-9% on the cycle benchmark), and ``open_cycles`` on the
+walk ran 10-20% slower.  Both hand their components to ``_cycle``, so
+``cycle_of`` answers exactly as ``all_cycles`` does.  ``open_cycles``
+shares the union-find pass and keeps only the open cycles, for annealing,
+the special projection and extended moves: a component whose move leaves
+its cell set unchanged is closed whether or not that move is standard, so
+it gets no standardness test and no ``Cycle``.  A move (``move_through``,
+through ``tableau.replace_cells``) checks only the cells it changes.  The
 exhaustive search over all standard re-tilings, which takes time
 exponential in the number of cycles, is kept in the tests as the oracle for
 this construction.
@@ -206,59 +212,37 @@ def _is_standard_move(
     return standard
 
 
-def _moving_cycle(
-    tableau: DominoTableau,
-    labels: list[int],
-    coloring: Coloring,
-    original: dict[int, tuple[Cell, Cell]],
-    step: dict[int, tuple[Cell, Cell]],
-    old: set[Cell],
-    new: set[Cell],
-) -> Cycle:
-    """The cycle of a component whose simultaneous move ``step`` is
-    standard and takes its cells ``old`` to ``new``."""
-    boxed = is_boxed(original[labels[0]], coloring)
-    moves = tuple(step[lbl] for lbl in labels)
-    if new == old:
-        return Cycle(tuple(labels), coloring, None, None, boxed, moves, tableau)
-    holes, corners = old - new, new - old
-    if len(holes) != 1 or len(corners) != 1:
-        raise RuntimeError(f"open move must trade single cells, got {holes} / {corners}")
-    hole, corner = holes.pop(), corners.pop()
-    return Cycle(tuple(labels), coloring, hole, corner, boxed, moves, tableau)
-
-
-def _cell_sets(
-    labels: list[int],
-    original: dict[int, tuple[Cell, Cell]],
-    step: dict[int, tuple[Cell, Cell]],
-) -> tuple[set[Cell], set[Cell]]:
-    """The cells of a component before and after its move."""
-    old = {c for lbl in labels for c in original[lbl]}
-    new = {c for cells in step.values() for c in cells}
-    return old, new
-
-
-def _component_cycles(
+def _cycle(
     tableau: DominoTableau,
     labels: list[int],
     coloring: Coloring,
     scratch: dict[Cell, int],
     original: dict[int, tuple[Cell, Cell]],
     moved: dict[int, tuple[Cell, Cell]],
-) -> list[Cycle]:
-    """The cycles of one component of "D'(k) meets D(l)", whose labels come
-    in ascending order: one cycle when its simultaneous move is standard,
-    else closed single-label cycles whose move is the identity."""
+) -> Cycle | None:
+    """The cycle of one component of "D'(k) meets D(l)", whose labels come
+    in ascending order; None when its simultaneous move is not standard,
+    which freezes the component.  The move's hole and corner are the cells
+    it vacates and fills; a move that keeps the cell set is closed."""
     step = {lbl: moved[lbl] for lbl in labels}
-    if _is_standard_move(scratch, original, step):
-        old, new = _cell_sets(labels, original, step)
-        return [_moving_cycle(tableau, labels, coloring, original, step, old, new)]
-    frozen = []
-    for lbl in labels:
-        boxed = is_boxed(original[lbl], coloring)
-        frozen.append(Cycle((lbl,), coloring, None, None, boxed, (), tableau))
-    return frozen
+    if not _is_standard_move(scratch, original, step):
+        return None
+    old = {c for lbl in labels for c in original[lbl]}
+    new = {c for cells in step.values() for c in cells}
+    holes, corners = old - new, new - old
+    if len(holes) != len(corners) or len(holes) > 1:
+        raise RuntimeError(f"open move must trade single cells, got {holes} / {corners}")
+    hole, corner = (holes.pop(), corners.pop()) if holes else (None, None)
+    boxed = is_boxed(original[labels[0]], coloring)
+    return Cycle(tuple(labels), coloring, hole, corner, boxed, tuple(step.values()), tableau)
+
+
+def _frozen(
+    tableau: DominoTableau, label: int, cells: tuple[Cell, Cell], coloring: Coloring
+) -> Cycle:
+    """The closed single-label cycle, with the identity move, of a label
+    whose component is frozen."""
+    return Cycle((label,), coloring, None, None, is_boxed(cells, coloring), (), tableau)
 
 
 def _components(
@@ -304,7 +288,8 @@ def all_cycles(tableau: DominoTableau, coloring: Coloring) -> tuple[Cycle, ...]:
     scratch = dict(tableau._owner)
     cycles: list[Cycle] = []
     for labels in components:
-        cycles += _component_cycles(tableau, labels, coloring, scratch, original, moved)
+        cy = _cycle(tableau, labels, coloring, scratch, original, moved)
+        cycles += [cy] if cy else [_frozen(tableau, k, original[k], coloring) for k in labels]
     cycles.sort(key=lambda cy: cy.labels)
     return tuple(cycles)
 
@@ -314,24 +299,21 @@ def open_cycles(tableau: DominoTableau, coloring: Coloring) -> tuple[Cycle, ...]
     and sources.
 
     A component whose move leaves its cell set unchanged is closed whether
-    its move is standard or frozen, so it is neither tested nor built.
+    its move is standard or frozen, so it is neither tested nor built.  A
+    component holds every domino that its moved positions meet, so unless
+    its move reaches a cell that no domino owns, the move keeps its cell set
+    or lands two dominoes on one cell, which is frozen.
     """
     original, moved, components = _components(tableau, coloring)
-    scratch = dict(tableau._owner)
+    owner = tableau._owner
+    scratch = dict(owner)
     cycles = []
     for labels in components:  # ascending smallest label, as all_cycles sorts
-        step = {lbl: moved[lbl] for lbl in labels}
-        old, new = _cell_sets(labels, original, step)
-        if new != old and _is_standard_move(scratch, original, step):
-            cycles.append(_moving_cycle(tableau, labels, coloring, original, step, old, new))
+        if any(not owner.get(c) for lbl in labels for c in moved[lbl]):
+            cy = _cycle(tableau, labels, coloring, scratch, original, moved)
+            if cy:
+                cycles.append(cy)
     return tuple(cycles)
-
-
-def _cycle_with(cycles: Iterable[Cycle], label: int) -> Cycle:
-    for cy in cycles:
-        if label in cy.labels:
-            return cy
-    raise KeyError(f"no domino labeled {label}")
 
 
 def cycle_of(tableau: DominoTableau, label: int, coloring: Coloring) -> Cycle:
@@ -372,8 +354,8 @@ def cycle_of(tableau: DominoTableau, label: int, coloring: Coloring) -> Cycle:
                 seen.add(lbl)
                 component.append(lbl)
     component.sort()
-    cycles = _component_cycles(tableau, component, coloring, dict(owner), original, moved)
-    return _cycle_with(cycles, label)
+    cy = _cycle(tableau, component, coloring, dict(owner), original, moved)
+    return cy or _frozen(tableau, label, original[label], coloring)
 
 
 def move_through(tableau: DominoTableau, cycle: Cycle) -> DominoTableau:
@@ -391,9 +373,7 @@ def move_through_set(tableau: DominoTableau, cycles: Iterable[Cycle]) -> DominoT
         if taken & set(cy.labels):
             raise TableauError("cycles overlap")
         taken.update(cy.labels)
-    if not taken:
-        return tableau
-    if len({cy.coloring for cy in cycles}) != 1:
+    if len({cy.coloring for cy in cycles}) > 1:
         raise TableauError("cannot mix colorings in one simultaneous move")
     moves: dict[int, tuple[Cell, Cell]] = {}
     for cy in cycles:

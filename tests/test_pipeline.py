@@ -13,6 +13,7 @@ from domino_tableaux.partitions import (
     is_orbit_partition,
     is_special,
     n_statistic,
+    orbit_collapse,
     orbit_dual,
 )
 from domino_tableaux.pipeline import (
@@ -370,3 +371,55 @@ def test_special_shape_of_minus_w_is_the_dual(t):
     for w in words:
         assert special_shape(tuple(-v for v in w)) == orbit_dual(special_shape(w), t), w
     assert len(words) == 4282 + 80
+
+
+def richardson_element(n, gens):
+    """w0 of the parabolic subgroup generated by ``gens`` (generator 1
+    negates position 1, generator i >= 2 swaps positions i-1 and i), the
+    size m of its signed block and the sizes of its type-A blocks."""
+    m = 0
+    while m + 1 in gens:
+        m += 1
+    blocks = []
+    for p in range(m + 1, n + 1):  # generator m+1 is not in gens
+        if p in gens:
+            blocks[-1].append(p)
+        else:
+            blocks.append([p])
+    w = [-p for p in range(1, m + 1)] + [p for block in blocks for p in reversed(block)]
+    return tuple(w), m, [len(block) for block in blocks]
+
+
+def induced_from_zero(m, sizes, t):
+    """Ind(0) from the Levi with a signed block of rank m and type-A blocks
+    of the given sizes: from the zero orbit (1^2m), or (1^2m+1) in type B,
+    add 2 to the first a parts for each block of size a, then
+    orbit_collapse (Collingwood-McGovern ch. 7)."""
+    parts = [1] * (2 * m + (t == "B"))
+    for a in sizes:
+        parts += [0] * (a - len(parts))
+        parts[:a] = [p + 2 for p in parts[:a]]
+        parts = list(orbit_collapse(parts, t))
+    return tuple(parts)
+
+
+@pytest.mark.parametrize("t", ["C", "B"])
+def test_richardson_elements_reach_the_induced_orbit(t):
+    # The longest element w0^J of a standard parabolic W_J lies in the
+    # two-sided cell of the Richardson orbit Ind(0) induced from the zero
+    # orbit of its Levi (Lusztig-Spaltenstein, J. London Math. Soc. 1979).
+    # The special shape S(w) of rs(w).left is Ind(0) on every parabolic of
+    # rank <= 8, and orbit_of(w) is Ind(0) at rank <= 4 (law 1b's orbit
+    # side); orbit_of breaks it from rank 5 on.
+    special = orbit = 0
+    for n in range(1, 9):
+        for mask in range(2**n):
+            gens = {i for i in range(1, n + 1) if mask >> (i - 1) & 1}
+            w, m, sizes = richardson_element(n, gens)
+            ind = induced_from_zero(m, sizes, t)
+            assert special_projection(rs(w, t).left).shape() == ind, w
+            special += 1
+            if n <= 4:
+                assert orbit_of(w, t) == ind, w
+                orbit += 1
+    assert (special, orbit) == (510, 30)

@@ -215,8 +215,7 @@ def test_local_rule_matches_prefix_oracle():
     # the constructor applies the local up/left-neighbour rule in one pass;
     # it must accept and reject exactly what the prefix definition does, and
     # name the first prefix that fails
-    from domino_tableaux.enumeration import all_sdt
-    from domino_tableaux.partitions import partitions_of
+    from test_cycles import _sdt_of_rank
 
     def check(lie_type, dominoes):
         try:
@@ -233,11 +232,7 @@ def test_local_rule_matches_prefix_oracle():
             assert why == f"cells up to label {bad} do not form a Young diagram"
         return why is None
 
-    standard = []
-    for t, core in (("C", 0), ("B", 1)):
-        for n in range(5):
-            for shape in partitions_of(2 * n + core):
-                standard.extend(all_sdt(shape, t))
+    standard = [tab for t in "CB" for n in range(5) for tab in _sdt_of_rank(n, t)]
     assert len(standard) == 210 and all(check(tab.lie_type, tab.dominoes) for tab in standard)
     rng = random.Random(20240611)
     verdicts = [check(*_random_layout(rng, rng.choice("BC"))) for _ in range(3000)]
@@ -259,19 +254,14 @@ def test_kept_views_match_the_dominoes():
     # what replace_cells derived from its source's; each must equal a
     # recomputation from the dominoes alone
     from domino_tableaux.cycles import Coloring, all_cycles, move_through
-    from domino_tableaux.enumeration import all_sdt
-    from domino_tableaux.partitions import partitions_of
+    from test_cycles import _sdt_of_rank
 
     gapped = make_tableau(
         "B",
         [(2, ((1, 2), (1, 3))), (7, ((2, 1), (3, 1))), (9, ((1, 4), (1, 5)))],
         require_contiguous=False,
     )
-    tableaux = [gapped]
-    for t, core in (("C", 0), ("B", 1)):
-        for n in range(6):
-            for shape in partitions_of(2 * n + core):
-                tableaux.extend(all_sdt(shape, t))
+    tableaux = [gapped] + [tab for t in "CB" for n in range(6) for tab in _sdt_of_rank(n, t)]
     assert len(tableaux) == 1 + 2 * (1 + 2 + 6 + 20 + 76 + 312)
     relocated = [replace_cells(gapped, {7: ((2, 1), (2, 2)), 9: ((3, 1), (3, 2))})]
     for tab in tableaux:
@@ -319,9 +309,9 @@ def test_replace_cells_matches_the_constructor(monkeypatch):
     # accept exactly what the full constructor accepts, build an equal
     # tableau with equal views without running the full check, and refuse
     # with the full check's message
-    from domino_tableaux.enumeration import all_sdt
-    from domino_tableaux.partitions import partitions_of
+    from test_cycles import _sdt_of_rank
 
+    tableaux = [tab for t in "CB" for n in range(1, 6) for tab in _sdt_of_rank(n, t)]
     full = []
     check = DominoTableau.__init__
     monkeypatch.setattr(
@@ -329,31 +319,28 @@ def test_replace_cells_matches_the_constructor(monkeypatch):
     )
     rng = random.Random(20261019)
     verdicts = []
-    for t, core in (("C", 0), ("B", 1)):
-        for n in range(1, 6):
-            for shape in partitions_of(2 * n + core):
-                for tab in all_sdt(shape, t):
-                    for _ in range(6):
-                        moves = _relocation(rng, tab)
-                        try:
-                            ds = tuple(
-                                Domino(d.label, moves[d.label]) if d.label in moves else d
-                                for d in tab.dominoes
-                            )
-                            want, why = DominoTableau(t, ds), None
-                        except TableauError as exc:
-                            want, why = None, str(exc)
-                        del full[:]
-                        try:
-                            got, err = replace_cells(tab, moves), None
-                        except TableauError as exc:
-                            got, err = None, str(exc)
-                        assert err == why, (tab, moves)
-                        if want is not None:
-                            assert full == [] and got == want
-                            assert got.shape() == want.shape() and got.cells() == want.cells()
-                            assert got.cell_owner() == want.cell_owner()
-                        verdicts.append(why)
+    for tab in tableaux:
+        for _ in range(6):
+            moves = _relocation(rng, tab)
+            try:
+                ds = tuple(
+                    Domino(d.label, moves[d.label]) if d.label in moves else d
+                    for d in tab.dominoes
+                )
+                want, why = DominoTableau(tab.lie_type, ds), None
+            except TableauError as exc:
+                want, why = None, str(exc)
+            del full[:]
+            try:
+                got, err = replace_cells(tab, moves), None
+            except TableauError as exc:
+                got, err = None, str(exc)
+            assert err == why, (tab, moves)
+            if want is not None:
+                assert full == [] and got == want
+                assert got.shape() == want.shape() and got.cells() == want.cells()
+                assert got.cell_owner() == want.cell_owner()
+            verdicts.append(why)
     refusals = {why.split(" ")[0] for why in verdicts if why}
     assert refusals == {"cell", "cells", "domino"}  # overlap, prefix, Domino
     assert verdicts.count(None) > 600 and len(verdicts) - verdicts.count(None) > 2000
