@@ -68,7 +68,7 @@ _EXPORTS = {
         "OrbitalResult",
         "PipelineStallError",
         "candidate_moves",
-        "orbit_of",
+        "orbit_of",  # the element-to-orbit map that the paper computes
         "orbital_tableau",
         "special_projection",
     ),

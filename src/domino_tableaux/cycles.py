@@ -19,7 +19,8 @@ cycles.  Each cycle carries its move and its source tableau.
 
 One builder, ``_cycle``, turns a component into its cycle: it makes the
 standardness test on a scratch copy of the owner map, with the local rule
-of ``tableau.misplaced_cell``, undoes it, reads the hole and the corner off
+of ``tableau.misplaced_cell``, then puts the move's old and new cells back
+as the tableau's own map holds them, reads the hole and the corner off
 the cells before and after the move, and answers None for a frozen
 component, whose labels ``_frozen`` makes into single-label cycles.  Two
 engines find the components, and both stay.  ``all_cycles`` builds every
@@ -109,9 +110,7 @@ def _block_id(cell: Cell, coloring: Coloring) -> tuple[int, int]:
     single frozen label.
     """
     r, c = cell
-    if coloring is Coloring.NATIVE:
-        return ((r + 1) // 2, (c + 1) // 2)
-    return ((r + 1) // 2, c // 2)
+    return ((r + 1) // 2, (c + coloring.fixed_parity) // 2)
 
 
 def is_boxed(cells: Sequence[Cell], coloring: Coloring) -> bool:
@@ -190,28 +189,6 @@ def _moved_position(domino: Domino, owner: dict[Cell, int], parity: int) -> tupl
     return (f, other) if f < other else (other, f)
 
 
-def _is_standard_move(
-    scratch: dict[Cell, int],
-    original: dict[int, tuple[Cell, Cell]],
-    moves: dict[int, tuple[Cell, Cell]],
-) -> bool:
-    """Does relocating the given labels leave a standard tableau?
-
-    The move is made in ``scratch``, a copy of the tableau's owner map,
-    checked there by the local rule of ``tableau.misplaced_cell`` on the
-    cells it can change, and undone.
-    """
-    touched = move_cells(scratch, original, moves)
-    standard = touched is not None and misplaced_cell(scratch, touched) is None
-    for lbl, cells in moves.items():
-        for c in cells:
-            if scratch.get(c) == lbl:
-                del scratch[c]
-    for lbl in moves:
-        scratch.update(dict.fromkeys(original[lbl], lbl))
-    return standard
-
-
 def _cycle(
     tableau: DominoTableau,
     labels: list[int],
@@ -223,12 +200,25 @@ def _cycle(
     """The cycle of one component of "D'(k) meets D(l)", whose labels come
     in ascending order; None when its simultaneous move is not standard,
     which freezes the component.  The move's hole and corner are the cells
-    it vacates and fills; a move that keeps the cell set is closed."""
+    it vacates and fills; a move that keeps the cell set is closed.
+
+    The move is tried in ``scratch``, which equals the tableau's owner map
+    before and after: ``move_cells`` writes only the old and new cells of
+    the labels it moves, even when it stops part-way, so copying those
+    cells back from the tableau's map restores it."""
     step = {lbl: moved[lbl] for lbl in labels}
-    if not _is_standard_move(scratch, original, step):
-        return None
+    touched = move_cells(scratch, original, step)
+    standard = touched is not None and misplaced_cell(scratch, touched) is None
     old = {c for lbl in labels for c in original[lbl]}
     new = {c for cells in step.values() for c in cells}
+    owner = tableau._owner
+    for c in old | new:
+        if c in owner:
+            scratch[c] = owner[c]
+        else:
+            scratch.pop(c, None)
+    if not standard:
+        return None
     holes, corners = old - new, new - old
     if len(holes) != len(corners) or len(holes) > 1:
         raise RuntimeError(f"open move must trade single cells, got {holes} / {corners}")

@@ -12,7 +12,8 @@ import pytest
 from domino_tableaux.cycles import (
     Coloring,
     Cycle,
-    _is_standard_move,
+    _components,
+    _cycle,
     _moved_position,
     _open_by_square,
     all_cycles,
@@ -410,23 +411,24 @@ def test_open_cycles_are_the_open_cycles_of_all_cycles(t):
 
 def test_standardness_test_restores_its_scratch_map():
     # all_cycles tries each component's move on one scratch copy of the
-    # owner map; every try, standard or not, must leave the copy as it was
+    # owner map; every try, standard or frozen, must leave the copy equal to
+    # the tableau's own map
     verdicts = set()
+    calls = 0
     for t in ("C", "B"):
         for n in range(1, 5):
             for tab in _sdt_of_rank(n, t):
                 owner = tab.cell_owner()
-                scratch = dict(owner)
-                original = {d.label: d.cells for d in tab.dominoes}
                 for col in Coloring:
-                    parity = col.fixed_parity
-                    moved = {d.label: _moved_position(d, owner, parity) for d in tab.dominoes}
-                    for size in (1, 2):
-                        for labels in itertools.combinations(original, size):
-                            step = {k: moved[k] for k in labels}
-                            verdicts.add(_is_standard_move(scratch, original, step))
-                            assert scratch == owner, (tab, col, step)
-    assert verdicts == {True, False}
+                    original, moved, components = _components(tab, col)
+                    scratch = dict(owner)
+                    for labels in components:
+                        cy = _cycle(tab, labels, col, scratch, original, moved)
+                        verdicts.add(type(cy))
+                        calls += 1
+                        assert scratch == owner, (tab, col, labels)
+    assert verdicts == {Cycle, type(None)}
+    assert calls == 828
 
 
 # sha256 over all_cycles in both colorings, the move through each cycle, and

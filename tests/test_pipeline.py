@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -15,6 +16,7 @@ from domino_tableaux.partitions import (
     n_statistic,
     orbit_collapse,
     orbit_dual,
+    transpose,
 )
 from domino_tableaux.pipeline import (
     _preferred,
@@ -355,6 +357,11 @@ def test_special_shapes_of_the_pair_agree(t):
             assert left.shape() == right.shape(), w
 
 
+def special_shape(w, t):
+    """S(w), the shape of the special projection of rs(w).left."""
+    return special_projection(rs(w, t).left).shape()
+
+
 @pytest.mark.parametrize("t", ["C", "B"])
 def test_special_shape_of_minus_w_is_the_dual(t):
     # Duality (Barbasch and Vogan, Ann. of Math. 1985): -w = w w0, as w0 = -1
@@ -362,14 +369,11 @@ def test_special_shape_of_minus_w_is_the_dual(t):
     # S(-w) = orbit_dual(S(w)) for S(w) the special projection's shape of
     # rs(w).left.  Every element of rank <= 5, and 20 seeded words per rank
     # at ranks 16-128.
-    def special_shape(w):
-        return special_projection(rs(w, t).left).shape()
-
     words = [w for n in range(1, 6) for w in enumerate_group(n)]
     rng = random.Random(112358)
     words += [random_signed_perm(rng, n) for n in (16, 32, 64, 128) for _ in range(20)]
     for w in words:
-        assert special_shape(tuple(-v for v in w)) == orbit_dual(special_shape(w), t), w
+        assert special_shape(tuple(-v for v in w), t) == orbit_dual(special_shape(w, t), t), w
     assert len(words) == 4282 + 80
 
 
@@ -390,36 +394,75 @@ def richardson_element(n, gens):
     return tuple(w), m, [len(block) for block in blocks]
 
 
-def induced_from_zero(m, sizes, t):
-    """Ind(0) from the Levi with a signed block of rank m and type-A blocks
-    of the given sizes: from the zero orbit (1^2m), or (1^2m+1) in type B,
-    add 2 to the first a parts for each block of size a, then
-    orbit_collapse (Collingwood-McGovern ch. 7)."""
-    parts = [1] * (2 * m + (t == "B"))
-    for a in sizes:
-        parts += [0] * (a - len(parts))
-        parts[:a] = [p + 2 for p in parts[:a]]
-        parts = list(orbit_collapse(parts, t))
-    return tuple(parts)
+def induced(inner, mus, t):
+    """Ind(inner; mu_1, ..., mu_k), the orbit induced from the Levi
+    sp/so x gl(|mu_1|) x ... x gl(|mu_k|): from the partition ``inner``,
+    for each mu add 2mu part by part, then orbit_collapse
+    (Collingwood-McGovern ch. 7)."""
+    parts = tuple(inner)
+    for mu in mus:
+        parts = orbit_collapse(
+            [p + 2 * q for p, q in itertools.zip_longest(parts, mu, fillvalue=0)], t
+        )
+    return parts
+
+
+def orbit_dimension(parts, t):
+    """dim O = 2n^2 + n - (sum of the squared column lengths + eps * #odd
+    parts) / 2, with eps = +1 in C and -1 in B (Collingwood-McGovern,
+    Cor. 6.1.4)."""
+    n = sum(parts) // 2
+    eps = 1 if t == "C" else -1
+    twice_centralizer = sum(c * c for c in transpose(parts)) + eps * sum(p % 2 for p in parts)
+    return 2 * n * n + n - twice_centralizer // 2
 
 
 @pytest.mark.parametrize("t", ["C", "B"])
 def test_richardson_elements_reach_the_induced_orbit(t):
     # The longest element w0^J of a standard parabolic W_J lies in the
     # two-sided cell of the Richardson orbit Ind(0) induced from the zero
-    # orbit of its Levi (Lusztig-Spaltenstein, J. London Math. Soc. 1979).
-    # The special shape S(w) of rs(w).left is Ind(0) on every parabolic of
-    # rank <= 8, and orbit_of(w) is Ind(0) at rank <= 4 (law 1b's orbit
-    # side); orbit_of breaks it from rank 5 on.
+    # orbit of its Levi (Lusztig-Spaltenstein, J. London Math. Soc. 1979),
+    # whose dimension is 2 dim u_P.  The special shape S(w) of rs(w).left
+    # is Ind(0) on every parabolic of rank <= 8, and orbit_of(w) is Ind(0)
+    # at rank <= 4 (law 1b); orbit_of breaks it from rank 5 on.
     special = orbit = 0
     for n in range(1, 9):
         for mask in range(2**n):
             gens = {i for i in range(1, n + 1) if mask >> (i - 1) & 1}
             w, m, sizes = richardson_element(n, gens)
-            ind = induced_from_zero(m, sizes, t)
-            assert special_projection(rs(w, t).left).shape() == ind, w
+            ind = induced([1] * (2 * m + (t == "B")), [(1,) * a for a in sizes], t)
+            assert special_shape(w, t) == ind, w
+            levi = sum(a * a for a in sizes) + 2 * m * m + m
+            assert orbit_dimension(ind, t) == 2 * n * n + n - levi, w  # 2 dim u_P
             special += 1
             if n <= 4:
                 assert orbit_of(w, t) == ind, w
                 orbit += 1
     assert (special, orbit) == (510, 30)
+
+
+@pytest.mark.parametrize("t", ["C", "B"])
+def test_split_words_induce_their_special_shape(t):
+    # Parabolic induction (Lusztig, Indag. Math. 1979; Lusztig-Spaltenstein
+    # 1979): a word split into a signed block on 1..m and positive blocks,
+    # each an interval mapped onto itself, has the special shape induced
+    # from its signed block's by the type-A shapes mu_i of its blocks; mu_i
+    # is half the row lengths of the type-C insertion of the block (law
+    # 1a).  20 seeded split words per rank at ranks 16-128.
+    rng = random.Random(112358)
+    count = 0
+    for n in (16, 32, 64, 128):
+        for _ in range(20):
+            m = rng.randint(0, n // 2)
+            inner = random_signed_perm(rng, m)
+            w, mus = list(inner), []
+            while len(w) < n:
+                p = len(w)
+                block = list(range(p + 1, rng.randint(p + 1, n) + 1))
+                rng.shuffle(block)
+                w += block
+                shape = rs(tuple(v - p for v in block), "C").left.shape()
+                mus.append(tuple(row // 2 for row in shape))
+            assert special_shape(tuple(w), t) == induced(special_shape(inner, t), mus, t), w
+            count += 1
+    assert count == 80
