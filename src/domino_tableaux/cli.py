@@ -184,6 +184,8 @@ def _cmd_op(args) -> int:
         wall_cross_unequal_length,
     )
 
+    if args.name != "equal-length" and (args.i, args.j) != (None, None):
+        raise UsageError("--i and --j apply to equal-length only")
     pair = pair_deserialize(_read_input(args.pair))
     try:
         # equal-length acts on the group element, the others on the pair

@@ -276,7 +276,7 @@ def _terminals(
             memo[tab] = frozenset([tab])
         else:
             memo[tab] = frozenset().union(
-                *(_terminals(move_through(tab, cy), memo) for cy, _ in candidate_moves(tab))
+                *(_terminals(move_through(tab, cy), memo) for cy in candidate_moves(tab))
             )
     return memo[tab]
 

@@ -8,17 +8,18 @@ same parity, as ``candidate_moves`` proves), shape strictly lowered in
 dominance order — until the shape is an orbit partition.  The resulting
 partition labels the nilpotent orbit attached to the element; the tableau
 parametrizes its orbital variety.  Among the admissible moves it takes the
-one with the greatest key (target shape in lex order, minus the cycle's
-smallest label, native coloring), which keeps traces reproducible; the
-lex-greatest target is also dominance-maximal.  ``candidate_moves`` is the
-one definition of an admissible move: the ``pipeline-confluence`` suite
-explores every move it offers, and the tests check it against the
-definition, re-derived, on every standard tableau of rank <= 6.  That the
-move order does not affect the result is verified through rank 4 only; at
-rank 5 some tableaux reach two different terminal tableaux.  The trace is
-the cycles moved through, in order.  Each cycle carries its source tableau,
-so a step's shape before is its source's shape, and its shape after is the
-next cycle's source shape, or the result's shape for the last step.
+lowest hole, the one whose hole lies in the greatest row; there are no
+ties, by Lemma 5 of ``candidate_moves``, and the lowest hole gives the
+lex-greatest target shape, which is also dominance-maximal.
+``candidate_moves`` is the one definition of an admissible move: the
+``pipeline-confluence`` suite explores every move it offers, and the tests
+check it against the definition, re-derived, on every standard tableau of
+rank <= 6.  That the move order does not affect the result is verified
+through rank 4 only; at rank 5 some tableaux reach two different terminal
+tableaux.  The trace is the cycles moved through, in order.  Each cycle
+carries its source tableau, so a step's shape before is its source's
+shape, and its shape after is the next cycle's source shape, or the
+result's shape for the last step.
 
 The special-shape projection is one simultaneous move through every open
 native-coloring cycle whose hole lies in a row of the annealing parity, the
@@ -63,24 +64,24 @@ class OrbitalResult(Value):
 def _anneals(cycle: Cycle) -> bool:
     """Whether an open cycle's hole lies in a row of the annealing parity of
     its source's shape, the type's ``paired_parity``: odd length for type C,
-    even for type B.  Annealing and the special projection pick their cycles
-    by this one rule."""
-    source = cycle.source
-    return source.shape()[cycle.hole[0] - 1] % 2 == _TYPES[source.lie_type].paired_parity
+    even for type B.  The hole is the last cell of its row (Lemma 5 of
+    ``candidate_moves``), so its column is the row's length.  Annealing and
+    the special projection pick their cycles by this one rule."""
+    return cycle.hole[1] % 2 == _TYPES[cycle.source.lie_type].paired_parity
 
 
-def candidate_moves(tableau: DominoTableau) -> list[tuple[Cycle, Partition]]:
+def candidate_moves(tableau: DominoTableau) -> list[Cycle]:
     """Admissible lowering moves: open down cycles of either coloring whose
     hole row has the annealing parity (``_anneals``).
 
-    The target shape is read off the cycle: the hole's row loses a cell and
-    the corner's row, further down, gains one, so the shape strictly drops
-    in dominance.
+    The hole's row loses a cell and the corner's row, further down, gains
+    one, so the shape strictly drops in dominance.
 
     The definition also asks the corner's row for the parity.  Every open
     cycle, up or down and of either coloring, has it, so no test reads it.
     Let T be the tableau, T' its image and lam its shape (lam_r = 0 past the
-    last row); the hole is h = (r_h, lam_{r_h}) and the corner is
+    last row); the hole h lies in T and not in T', and the corner c in T'
+    and not in T.  Lemma 5 shows that h = (r_h, lam_{r_h}) and
     c = (r_c, lam_{r_c} + 1).
 
     Lemma 3 (rows).  h lies in T and not in T', and every domino keeps its
@@ -104,30 +105,35 @@ def candidate_moves(tableau: DominoTableau) -> list[tuple[Cycle, Partition]]:
     length exactly when the cycle is unboxed.  ``special_projection``
     therefore moves through the unboxed open native cycles in type C and
     the boxed ones in type B.
+
+    Lemma 5 (ends).  h is the last cell of its row, col_h = lam_{r_h}, and
+    c is the first cell past the end of its row, col_c = lam_{r_c} + 1.
+    T' = T - h + c, and c lies in another row (Lemma 3), so a cell of T
+    right of h would leave a gap in that row of T', and a cell left of c
+    missing from T would leave a gap in that row of T'.
+    Distinct open cycles of one tableau, of either coloring, have their
+    holes in distinct rows: two holes in one row would be one cell, but a
+    hole is a variable cell of its cycle's coloring, the two colorings'
+    variable cells have opposite chessboard colours, and within one
+    coloring a hole belongs to one of its own cycle's dominoes, while
+    cycles share no label.  Of two down cycles with hole rows a < b, the
+    target of the one at b is lex-greater: the targets agree above row a,
+    where the first loses a cell and the second does not.
     """
-    rows = tableau.shape() + (0,)  # a corner lies at most one row below the shape
-    out = []
-    for coloring in (Coloring.NATIVE, Coloring.TYPE_D):
-        for cy in open_cycles(tableau, coloring):
-            if cy.down and _anneals(cy):
-                new_rows = list(rows)
-                new_rows[cy.hole[0] - 1] -= 1
-                new_rows[cy.corner[0] - 1] += 1
-                out.append((cy, tuple(part for part in new_rows if part)))
-    return out
+    return [
+        cy
+        for coloring in (Coloring.NATIVE, Coloring.TYPE_D)
+        for cy in open_cycles(tableau, coloring)
+        if cy.down and _anneals(cy)
+    ]
 
 
-def _preferred(moves: list[tuple[Cycle, Partition]]) -> tuple[Cycle, Partition]:
-    """The move with the greatest key (target shape, -min label, native).
-
-    The lex-greatest target is dominance-maximal: a shape that strictly
-    dominates another is larger in the first part where they differ.  Within
-    one coloring the min label names a unique cycle, so the key has no ties.
-    """
-    return max(
-        moves,
-        key=lambda m: (m[1], -min(m[0].labels), m[0].coloring is Coloring.NATIVE),
-    )
+def _preferred(moves: list[Cycle]) -> Cycle:
+    """The lowest hole: the move whose hole lies in the greatest row.  By
+    Lemma 5 of ``candidate_moves`` it is unique and its target shape is the
+    lex-greatest, which is dominance-maximal: a shape that strictly
+    dominates another is larger in the first part where they differ."""
+    return max(moves, key=lambda cy: cy.hole[0])
 
 
 def orbital_tableau(tableau: DominoTableau) -> OrbitalResult:
@@ -153,7 +159,7 @@ def orbital_tableau(tableau: DominoTableau) -> OrbitalResult:
             raise PipelineStallError(
                 f"no admissible move at shape {shape} ({current.lie_type})"
             )
-        cycle, _ = _preferred(moves)
+        cycle = _preferred(moves)
         current = move_through(current, cycle)
         trace.append(cycle)
     raise PipelineStallError(

@@ -204,6 +204,21 @@ def test_op_equal_length_needs_indices(capsys):
         assert "usage:" in err and "needs --i and --j" in err
 
 
+@pytest.mark.parametrize("name", ["unequal-length", "type-d"])
+@pytest.mark.parametrize("indices", [["--i", "7", "--j", "9"], ["--i", "2"], ["--j", "3"]])
+def test_op_indices_apply_to_equal_length_only(capsys, name, indices):
+    # the pair operators take no index, so an index is a usage error, not
+    # silently dropped; the check comes before the pair is read
+    for pair in (pair_serialize(rs((-1, 2), "C")), "{"):
+        with pytest.raises(SystemExit) as exc:
+            main(["op", name, pair, *indices])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert "--i and --j apply to equal-length only" in captured.err
+
+
 def test_op_unequal_length(capsys):
     pair = rs((-1, 2), "C")
     code, out, _ = run(capsys, "op", "unequal-length", pair_serialize(pair))

@@ -518,7 +518,10 @@ def test_extended_move_grows_on_the_right():
 
 
 def test_extended_cycle_rejects_two_open_cycles_on_one_square():
-    # no standard tableau of rank <= 5 has such a pair; built by hand here
+    # no two open cycles of one tableau share a hole (Lemma 5 of
+    # candidate_moves), and test_hole_and_corner_rows_follow_boxedness finds
+    # no shared corner within one coloring on the tableaux it checks; so the
+    # pair is built by hand here
     a = Cycle((1,), NATIVE, (1, 2), (2, 1), False, (), None)
     b = Cycle((2,), NATIVE, (1, 4), (2, 1), False, (), None)
     with pytest.raises(TableauError, match=r"ambiguous at square \(2, 1\)"):
