@@ -184,14 +184,16 @@ def _cmd_op(args) -> int:
         wall_cross_unequal_length,
     )
 
-    if args.name != "equal-length" and (args.i, args.j) != (None, None):
+    # both usage errors come before the pair is read
+    if args.name == "equal-length":
+        if args.i is None or args.j is None:
+            raise UsageError("equal-length needs --i and --j")
+    elif (args.i, args.j) != (None, None):
         raise UsageError("--i and --j apply to equal-length only")
     pair = pair_deserialize(_read_input(args.pair))
     try:
         # equal-length acts on the group element, the others on the pair
         if args.name == "equal-length":
-            if args.i is None or args.j is None:
-                raise UsageError("equal-length needs --i and --j")
             image = wall_cross_equal_length(rs_inverse(pair), args.i, args.j)
             out = rs(image, pair.left.lie_type)
         elif args.name == "unequal-length":

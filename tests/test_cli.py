@@ -195,13 +195,16 @@ def test_op_equal_length_undefined(capsys):
 
 
 def test_op_equal_length_needs_indices(capsys):
-    pair = pair_serialize(rs((2, 1, 3), "C"))
-    for argv in (["op", "equal-length", pair], ["op", "equal-length", pair, "--i", "2"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "usage:" in err and "needs --i and --j" in err
+    # the check comes before the pair is read, so invalid JSON without the
+    # indices is a usage error too, as for the pair operators below
+    for pair in (pair_serialize(rs((2, 1, 3), "C")), "{"):
+        for indices in ([], ["--i", "2"], ["--j", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["op", "equal-length", pair, *indices])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "usage:" in captured.err and "needs --i and --j" in captured.err
 
 
 @pytest.mark.parametrize("name", ["unequal-length", "type-d"])

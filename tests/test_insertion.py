@@ -3,11 +3,15 @@ import json
 import random
 import re
 import time
+from collections import defaultdict
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from domino_tableaux import insertion
+from domino_tableaux.enumeration import all_sdt
 from domino_tableaux.insertion import (
     TableauPair,
     pair_deserialize,
@@ -16,6 +20,7 @@ from domino_tableaux.insertion import (
     rs,
     rs_inverse,
 )
+from domino_tableaux.partitions import partitions_of
 from domino_tableaux.signed_perm import as_signed_perm, enumerate_group
 from domino_tableaux.tableau import (
     Cell,
@@ -24,6 +29,7 @@ from domino_tableaux.tableau import (
     TableauError,
     core_cells,
     make_tableau,
+    misplaced_cell,
 )
 
 
@@ -133,6 +139,49 @@ def test_rs_refuses_entries_that_are_not_ints():
         rs((1.5, -2.7), "C")
     with pytest.raises(ValueError, match="^signed permutation entries must be ints, got True$"):
         rs((True,), "B")
+
+
+def _grid(owner):
+    """The forward kernel's rows and columns of a gapless owner map."""
+    rows, cols = defaultdict(list), defaultdict(list)
+    for r, c in sorted(owner):
+        rows[r].append(owner[(r, c)])
+    for r, c in sorted(owner, key=lambda cell: cell[::-1]):
+        cols[c].append(owner[(r, c)])
+    return rows, cols
+
+
+@pytest.mark.parametrize("t, standard, misplaced", [("C", 180, 446), ("B", 222, 404)])
+def test_grid_check_agrees_with_misplaced_cell(t, standard, misplaced):
+    # the kernel's check on the grid and the tableau's on the owner map
+    # state one rule; they must pick the same cell on every standard
+    # tableau of rank <= 4, and on each of those with two labels swapped
+    # (some swaps stay standard)
+    verdicts = {True: 0, False: 0}
+    for n in range(1, 5):
+        size = 2 * n + (1 if t == "B" else 0)
+        for tab in (tab for shape in partitions_of(size) for tab in all_sdt(shape, t)):
+            base = tab.cell_owner()
+            cells = sorted({(r + i, c + j) for r, c in base for i, j in ((0, 0), (1, 0), (0, 1))})
+            swaps = [{}] + [{a: b, b: a} for a, b in combinations(tab.labels(), 2)]
+            for swap in swaps:
+                owner = {cell: swap.get(lbl, lbl) for cell, lbl in base.items()}
+                expected = misplaced_cell(owner, cells)
+                assert insertion._misplaced(*_grid(owner), cells) == expected, (tab, swap)
+                verdicts[expected is None] += 1
+    assert verdicts == {True: standard, False: misplaced}
+
+
+def test_new_cell_guard_refuses_a_gap():
+    # label 4 fills column 1 and label 2 column 2, out of order.  Inserting
+    # 1 covers the top of 2, which twists onto (2, 2), (2, 3); (2, 3) would
+    # sit below the empty (1, 3), so the guard refuses it as it is claimed
+    layout = {4: ((1, 1), (2, 1)), 2: ((1, 2), (2, 2))}
+    rows, cols = _grid({cell: lbl for lbl, cells in layout.items() for cell in cells})
+    message = "^cells up to label 2 do not form a Young diagram$"
+    with pytest.raises(TableauError, match=message):
+        insertion._insert(layout, rows, cols, 1)
+    assert (rows[2], cols[3]) == ([4, 2], [])
 
 
 def test_pair_serialization_round_trip():
@@ -322,6 +371,26 @@ def test_rs_answers_are_pinned(t):
             pair = rs(random_signed_perm(rng, n), t)
             digest.update(json.dumps(pair_to_json_dict(pair), sort_keys=True).encode())
     assert digest.hexdigest() == RS_DIGESTS[t]
+
+
+# the same over 10 seeded words at each of the ranks 256 and 512, whose long
+# rows and columns the pins above do not reach; taken from the dict kernel
+# that walked each line cell by cell
+RS_DIGESTS_LARGE = {
+    "C": "098c03c0a309c03777878f51725c524d960ccc4d6cd35ffea47e9d9f450ddedb",
+    "B": "4f49069279e4b6a7ef7e410363f8c32239c53a1b900c2fdefba24c74a0358d17",
+}
+
+
+@pytest.mark.parametrize("t", ["C", "B"])
+def test_rs_answers_are_pinned_at_large_ranks(t):
+    rng = random.Random(f"rs-digest-large-{t}")
+    digest = hashlib.sha256()
+    for n in (256, 512):
+        for _ in range(10):
+            pair = rs(random_signed_perm(rng, n), t)
+            digest.update(json.dumps(pair_to_json_dict(pair), sort_keys=True).encode())
+    assert digest.hexdigest() == RS_DIGESTS_LARGE[t]
 
 
 @pytest.mark.parametrize("t", ["C", "B"])
