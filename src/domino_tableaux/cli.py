@@ -162,10 +162,10 @@ def _cmd_move(args) -> int:
     labels = args.label
     coloring = Coloring(args.coloring)
     if isinstance(doc, dict) and "left" in doc:
-        pair = pair_from_json_dict(doc)
+        # the usage error comes before the pair is read
         if len(labels) != 1:
             raise UsageError("extended moves take a single label")
-        out = move_through_extended(pair, labels[0], coloring)
+        out = move_through_extended(pair_from_json_dict(doc), labels[0], coloring)
         _emit(args, pair_to_json_dict(out), _pair_ascii(out))
         return 0
     tab = from_json_dict(doc)

@@ -40,6 +40,17 @@ through ``tableau.replace_cells``) checks only the cells it changes.  The
 exhaustive search over all standard re-tilings, which takes time
 exponential in the number of cycles, is kept in the tests as the oracle for
 this construction.
+
+An extended cycle (``extended_cycle``) moves the two tableaux of a pair
+together, and indexes each side's open cycles by their holes and corners.
+No square is indexed twice: holes lie in distinct rows (Lemma 5 of
+``pipeline.candidate_moves``), a cell outside the tableau lies in D'(k) for
+at most one label k (Lemma 6 at ``_moved_position``), so corners are
+distinct, and a hole lies in the tableau while a corner does not.  Both
+tableaux of a pair have one shape, so a square is a hole on both sides or a
+corner on both, and the closure tracks bare squares, with no flag.  Nor
+does it test whether a cycle was taken before: it looks up only squares
+missing from a side, and every square of a taken cycle is on its side.
 """
 
 from __future__ import annotations
@@ -179,6 +190,19 @@ def _moved_position(domino: Domino, owner: dict[Cell, int], parity: int) -> tupl
     d = f - delta + swap(delta) between them decides: when delta points
     right or down the domino rotates iff T(d) < k, when it points left or up
     iff T(d) > k.
+
+    Lemma 6 (one arrival per outside cell).  A cell c outside T lies in
+    D'(k) for at most one label k.  If c is in D'(k), c is not k's fixed
+    cell f_k, which lies in T, so f_k is a neighbour of c inside T; T is a
+    Young diagram and c is not in it, so f_k is x = left(c) or y = up(c).
+    Two labels would need f_m = x and f_l = y.  Then l's decision cell d is
+    x, whether l reaches c by the shift (delta up) or the rotation (delta
+    right), and either way the rule needs T(x) = m < l.  m's decision cell
+    is y, whether m reaches c by the shift (delta left) or the rotation
+    (delta down), and either way the rule needs l < m.  So distinct open
+    cycles of one coloring, which share no label, have distinct corners;
+    and corners of the two colorings are variable cells of opposite
+    chessboard colours, so no two open cycles of a tableau share a corner.
     """
     a, b = domino.cells
     f, v = (a, b) if (a[0] + a[1]) % 2 == parity else (b, a)
@@ -376,22 +400,9 @@ def move_through_set(tableau: DominoTableau, cycles: Iterable[Cycle]) -> DominoT
 
 
 def _open_by_square(cycles: Iterable[Cycle]) -> dict[Cell, Cycle]:
-    """Each hole and corner of the given open cycles, with its cycle."""
-    index: dict[Cell, Cycle] = {}
-    for cy in cycles:
-        for square in (cy.hole, cy.corner):
-            if square in index:
-                raise TableauError(
-                    f"extended cycle closure ambiguous at square {square}: "
-                    f"open cycles {index[square].labels} and {cy.labels}"
-                )
-            index[square] = cy
-    return index
-
-
-def _ends(cycle: Cycle) -> set[tuple[Cell, bool]]:
-    """The cycle's hole and corner, each marked by whether it is the corner."""
-    return {(cycle.hole, False), (cycle.corner, True)}  # type: ignore[arg-type]
+    """Each hole and corner of the open cycles of one tableau and coloring,
+    with its cycle; no two share a square (Lemmas 5 and 6)."""
+    return {square: cy for cy in cycles for square in (cy.hole, cy.corner)}
 
 
 def extended_cycle(
@@ -403,10 +414,18 @@ def extended_cycle(
     side's simultaneous move produces the same shape on both sides.  While a
     hole or corner of one side is missing from the other, the other side's
     open cycle at the smallest such square joins, the left side first.  When
-    no untaken cycle sits there, no balanced closure exists: both sides come
-    back empty and the induced move is the identity, since on such a pair
-    every choice other than moving nothing would leave the two shapes
-    unequal.
+    no cycle sits there, no balanced closure exists: both sides come back
+    empty and the induced move is the identity, since on such a pair every
+    choice other than moving nothing would leave the two shapes unequal.
+
+    Each side's squares are its holes, which lie in the common shape, and
+    its corners, which lie outside it.  No two open cycles of a tableau
+    share a square: holes lie in distinct rows (Lemma 5 of
+    ``pipeline.candidate_moves``), and a cell outside the tableau lies in
+    D'(k) for at most one label k (Lemma 6 at ``_moved_position``).  So a
+    bare square says whether it is a hole or a corner on both sides, with
+    no flag, and the cycle found at a missing square was not taken before:
+    a taken cycle's squares are all present on its side.
     """
     seed = cycle_of(pair.right, label, coloring)
     if not seed.open:
@@ -416,15 +435,14 @@ def extended_cycle(
         _open_by_square(open_cycles(pair.left, coloring)),
     )
     taken: tuple[list[Cycle], list[Cycle]] = ([seed], [])
-    ends = (_ends(seed), set())
+    ends: tuple[set[Cell], set[Cell]] = ({seed.hole, seed.corner}, set())
     while ends[0] != ends[1]:
         side = 1 if ends[0] - ends[1] else 0
-        square, _ = min(ends[1 - side] - ends[side])
-        partner = index[side].get(square)
-        if partner is None or partner in taken[side]:
+        partner = index[side].get(min(ends[1 - side] - ends[side]))
+        if partner is None:
             return (), ()
         taken[side].append(partner)
-        ends[side].update(_ends(partner))
+        ends[side].update((partner.hole, partner.corner))
     return tuple(taken[0]), tuple(taken[1])
 
 

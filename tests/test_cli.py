@@ -167,12 +167,23 @@ def test_move_pair_is_extended(capsys):
 
 
 def test_move_pair_multiple_labels_rejected(capsys):
-    pair = rs((-1, 2), "C")
-    with pytest.raises(SystemExit) as exc:
-        main(["move", "--label", "1,2", pair_serialize(pair)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "usage:" in err and "single label" in err
+    # the check comes before the pair is read, so a document with "left"
+    # that is no valid pair is a usage error too: non-tableau sides, a
+    # mixed-type pair, and a missing right side
+    pair = pair_to_json_dict(rs((-1, 2), "C"))
+    docs = (
+        pair,
+        {"left": 5, "right": 6},
+        {"left": pair["left"], "right": pair_to_json_dict(rs((-1, 2), "B"))["right"]},
+        {"left": pair["left"]},
+    )
+    for doc in docs:
+        with pytest.raises(SystemExit) as exc:
+            main(["move", "--label", "1,2", json.dumps(doc)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err and "extended moves take a single label" in captured.err
 
 
 def test_op_equal_length(capsys):

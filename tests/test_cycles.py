@@ -15,7 +15,6 @@ from domino_tableaux.cycles import (
     _components,
     _cycle,
     _moved_position,
-    _open_by_square,
     all_cycles,
     cycle_of,
     extended_cycle,
@@ -114,6 +113,18 @@ def _sdt_of_rank(n, lie_type):
     group, as the rs-bijection suite checks (gate 1)."""
     size = 2 * n + (1 if lie_type == "B" else 0)
     return [tab for shape in partitions_of(size) for tab in all_sdt(shape, lie_type)]
+
+
+def seeded_tableaux(types, ranks=(8, 16, 32, 64)):
+    """Both tableaux of 20 seeded words per rank at the given ranks, for
+    each of the types in turn, from one random stream."""
+    rng = random.Random(112358)
+    for t in types:
+        for n in ranks:
+            for _ in range(20):
+                pair = rs(random_signed_perm(rng, n), t)
+                yield pair.left
+                yield pair.right
 
 
 def box_tableau(k, offset=0):
@@ -264,6 +275,30 @@ def test_boxedness_constant_on_cycles(t):
                 for cy in all_cycles(tab, col):
                     flags = {is_boxed(tab.domino(k).cells, col) for k in cy.labels}
                     assert flags == {cy.boxed}, serialize(tab)
+
+
+def test_an_outside_cell_has_one_arrival():
+    # Lemma 6 of cycles._moved_position: a cell outside T lies in D'(k) for
+    # at most one label k, frozen components included, in both colorings.
+    # Its corollary, that open cycles have their corners in distinct rows,
+    # is test_pipeline.test_hole_and_corner_rows_follow_boxedness.  Every
+    # standard tableau of rank <= 6 and both tableaux of 20 seeded words per
+    # rank at ranks 8-256, in both types.
+    exhaustive = (tab for t in ("C", "B") for n in range(1, 7) for tab in _sdt_of_rank(n, t))
+    seeded = seeded_tableaux("CB", (8, 16, 32, 64, 128, 256))
+    arrivals = 0
+    for tab in itertools.chain(exhaustive, seeded):
+        owner = tab._owner
+        for col in Coloring:
+            outside = [
+                c
+                for d in tab.dominoes
+                for c in _moved_position(d, owner, col.fixed_parity)
+                if c not in owner
+            ]
+            assert len(set(outside)) == len(outside), serialize(tab)
+            arrivals += len(outside)
+    assert arrivals == 17114
 
 
 @pytest.mark.parametrize("t", ["C", "B"])
@@ -515,17 +550,6 @@ def test_extended_move_grows_on_the_right():
     assert out.left != pair.left and out.right != pair.right
     assert out.left.shape() == out.right.shape() == (3, 3, 1, 1)
     assert move_through_extended(out, 1, TYPE_D) == pair
-
-
-def test_extended_cycle_rejects_two_open_cycles_on_one_square():
-    # no two open cycles of one tableau share a hole (Lemma 5 of
-    # candidate_moves), and test_hole_and_corner_rows_follow_boxedness finds
-    # no shared corner within one coloring on the tableaux it checks; so the
-    # pair is built by hand here
-    a = Cycle((1,), NATIVE, (1, 2), (2, 1), False, (), None)
-    b = Cycle((2,), NATIVE, (1, 4), (2, 1), False, (), None)
-    with pytest.raises(TableauError, match=r"ambiguous at square \(2, 1\)"):
-        _open_by_square([a, b])
 
 
 @pytest.mark.parametrize("t", ["C", "B"])

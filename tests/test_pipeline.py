@@ -33,7 +33,7 @@ from domino_tableaux.signed_perm import (
     length,
 )
 from domino_tableaux.tableau import make_tableau, serialize
-from test_cycles import _sdt_of_rank
+from test_cycles import _sdt_of_rank, seeded_tableaux
 from test_insertion import random_signed_perm
 
 
@@ -194,18 +194,6 @@ def test_candidate_moves_are_the_admissible_moves(t):
             assert candidate_moves(tab) == admissible_moves(tab), serialize(tab)
 
 
-def seeded_tableaux(types):
-    """Both tableaux of 20 seeded words per rank at ranks 8-64, for each of
-    the types in turn, from one random stream."""
-    rng = random.Random(112358)
-    for t in types:
-        for n in (8, 16, 32, 64):
-            for _ in range(20):
-                pair = rs(random_signed_perm(rng, n), t)
-                yield pair.left
-                yield pair.right
-
-
 def test_preferred_move_has_the_greatest_key():
     # The oracle is the greatest key (target shape in lex order, minus the
     # cycle's smallest label, native coloring), with each target shape
@@ -243,17 +231,16 @@ def test_hole_and_corner_rows_follow_boxedness():
     # the special projection.  The hole is the last cell of its row and the
     # corner the first cell past the end of its row, and no two open cycles
     # of a tableau, of either coloring, have their holes in one row, so the
-    # lowest hole is one cycle.  That no two open cycles of one coloring
-    # share a corner is measured here, not proved; the extended-cycle
-    # closure raises on such a pair.  Every standard tableau of rank <= 6,
-    # and both tableaux of 20 seeded words per rank at ranks 8-64.
+    # lowest hole is one cycle.  No two of them share a corner either
+    # (Lemma 6 of cycles._moved_position), so their corners lie in distinct
+    # rows too.  Every standard tableau of rank <= 6, and both tableaux of
+    # 20 seeded words per rank at ranks 8-256.
     checked = {"exhaustive": 0, "seeded": 0}
 
     def check(tab, kind):
         rows = tab.shape() + (0,)
-        hole_rows = []
+        hole_rows, corner_rows = [], []
         for coloring in Coloring:
-            corners = []
             for cy in open_cycles(tab, coloring):
                 checked[kind] += 1
                 hole, corner = cy.hole[0], cy.corner[0]
@@ -265,17 +252,17 @@ def test_hole_and_corner_rows_follow_boxedness():
                 assert cy.hole[1] == rows[hole - 1], serialize(tab)
                 assert cy.corner[1] == rows[corner - 1] + 1, serialize(tab)
                 hole_rows.append(hole)
-                corners.append(cy.corner)
-            assert len(set(corners)) == len(corners), serialize(tab)
+                corner_rows.append(corner)
         assert len(set(hole_rows)) == len(hole_rows), serialize(tab)
+        assert len(set(corner_rows)) == len(corner_rows), serialize(tab)
 
     for t in ("C", "B"):
         for n in range(1, 7):
             for tab in _sdt_of_rank(n, t):
                 check(tab, "exhaustive")
-    for tab in seeded_tableaux("CB"):
+    for tab in seeded_tableaux("CB", (8, 16, 32, 64, 128, 256)):
         check(tab, "seeded")
-    assert checked == {"exhaustive": 7074, "seeded": 1586}
+    assert checked == {"exhaustive": 7074, "seeded": 3932}
 
 
 def signed_perms(max_rank):
